@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race bench bench-smoke bench-json bench-diff bench-shard lint fmt vet api-check api-update serve-smoke chaos-smoke shard-smoke overload-smoke ingest-smoke docs-check ci
+.PHONY: build test test-race bench bench-smoke bench-json bench-diff lint fmt vet api-check api-update serve-smoke chaos-smoke overload-smoke ingest-smoke docs-check ci
 
 build:
 	$(GO) build ./...
@@ -30,12 +30,6 @@ bench-smoke:
 # artifact so the perf trajectory accumulates run over run).
 bench-json:
 	$(GO) run ./cmd/gsmbench -quick -timeout 30s -json > BENCH_smoke.json
-
-# Sharded-execution scaling report (E17 only, full workloads): the shards ×
-# GOMAXPROCS grid at 10^6/10^7 edges with per-cell answer cross-checks.
-# Slow by design; the quick variant runs inside bench-smoke/bench-json.
-bench-shard:
-	$(GO) run ./cmd/gsmbench -exp E17 -json > BENCH_shard.json
 
 # Per-experiment wall-clock delta between two bench-json reports (CI feeds
 # it the previous run's artifact): make bench-diff OLD=a.json NEW=b.json
@@ -72,12 +66,6 @@ chaos-smoke:
 ingest-smoke:
 	sh scripts/ingest-smoke.sh
 
-# Sharded serving smoke: boot gsmd -demo -shards 4 and verify every
-# response byte-for-byte against the embedded unsharded session path, then
-# assert /v1/stats exposes the shard layout. See scripts/shard-smoke.sh.
-shard-smoke:
-	sh scripts/shard-smoke.sh
-
 # Overload/fairness drill: boot gsmd with one admission slot, a bounded
 # queue and a memory budget; assert a polite tenant keeps a healthy share
 # of its isolated goodput under a greedy flood (byte-for-byte verified),
@@ -102,4 +90,4 @@ vet:
 
 lint: fmt vet
 
-ci: build lint api-check docs-check test-race serve-smoke shard-smoke chaos-smoke overload-smoke ingest-smoke bench-smoke bench-json
+ci: build lint api-check docs-check test-race serve-smoke chaos-smoke overload-smoke ingest-smoke bench-smoke bench-json

@@ -57,9 +57,8 @@ func (mo *memo[T]) peek() (T, bool) {
 // The source graph must not be mutated while the materialization is in use;
 // sessions enforce this with the graph's version counters.
 type Materialization struct {
-	cm    *CompiledMapping
-	gs    *datagraph.Graph
-	shard ShardOptions // normalized; Shards == 1 means single-shard
+	cm *CompiledMapping
+	gs *datagraph.Graph
 
 	src   memo[[]*datagraph.PairSet]
 	domN  memo[[]datagraph.Node]
@@ -69,10 +68,6 @@ type Materialization struct {
 	nulls memo[[]datagraph.NodeID]
 	vals  memo[[]datagraph.Value]
 
-	srcPart memo[*datagraph.Partition]
-	uniSh   memo[*ShardedSolution]
-	liSh    memo[*ShardedSolution]
-
 	// size memoizes the SizeBytes walk keyed on the set of built artifacts.
 	size sizeCache
 }
@@ -80,30 +75,8 @@ type Materialization struct {
 // NewMaterialization builds an empty materialization for a compiled mapping
 // and a source graph; nothing is computed until first use.
 func NewMaterialization(cm *CompiledMapping, gs *datagraph.Graph) *Materialization {
-	return &Materialization{cm: cm, gs: gs, shard: ShardOptions{Shards: 1}}
+	return &Materialization{cm: cm, gs: gs}
 }
-
-// NewMaterializationSharded builds a materialization whose solutions are
-// additionally available as per-shard fragments (UniversalSharded,
-// LeastInformativeSharded). The merged views (Universal, LeastInformative)
-// keep working and are memoized independently — fragments and merged view
-// are each built lazily, only when first asked for. Invalid shard options
-// are an ErrBadOptions.
-func NewMaterializationSharded(cm *CompiledMapping, gs *datagraph.Graph, so ShardOptions) (*Materialization, error) {
-	so, err := so.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	return &Materialization{cm: cm, gs: gs, shard: so}, nil
-}
-
-// ShardConfig returns the normalized shard options (Shards == 1 for a
-// single-shard materialization).
-func (mat *Materialization) ShardConfig() ShardOptions { return mat.shard }
-
-// Sharded reports whether the materialization was built with more than one
-// shard.
-func (mat *Materialization) Sharded() bool { return mat.shard.Shards > 1 }
 
 // Compiled returns the compiled mapping.
 func (mat *Materialization) Compiled() *CompiledMapping { return mat.cm }
@@ -196,86 +169,6 @@ func (mat *Materialization) LeastInformativeCtx(ctx context.Context) (*datagraph
 	})
 }
 
-// SourcePartition returns the memoized node→shard assignment of the source
-// graph under the materialization's shard options.
-func (mat *Materialization) SourcePartition() *datagraph.Partition {
-	out, _ := mat.srcPart.get(func() (*datagraph.Partition, error) {
-		return datagraph.NewPartition(mat.gs, mat.shard.Shards, mat.shard.Policy), nil
-	})
-	return out
-}
-
-// UniversalSharded returns the memoized per-shard fragments of the
-// universal solution. Valid for any shard count; with Shards == 1 the
-// single fragment is the whole solution.
-func (mat *Materialization) UniversalSharded() (*ShardedSolution, error) {
-	return mat.UniversalShardedCtx(context.Background())
-}
-
-// UniversalShardedCtx is UniversalSharded with a deadline (see
-// UniversalCtx).
-func (mat *Materialization) UniversalShardedCtx(ctx context.Context) (*ShardedSolution, error) {
-	return mat.uniSh.get(func() (*ShardedSolution, error) {
-		if err := fault.Hit("core.memo"); err != nil {
-			return nil, err
-		}
-		return mat.buildShardedSolution(ctx, solutionNulls)
-	})
-}
-
-// LeastInformativeSharded returns the memoized per-shard fragments of the
-// least informative solution.
-func (mat *Materialization) LeastInformativeSharded() (*ShardedSolution, error) {
-	return mat.LeastInformativeShardedCtx(context.Background())
-}
-
-// LeastInformativeShardedCtx is LeastInformativeSharded with a deadline
-// (see UniversalCtx).
-func (mat *Materialization) LeastInformativeShardedCtx(ctx context.Context) (*ShardedSolution, error) {
-	return mat.liSh.get(func() (*ShardedSolution, error) {
-		if err := fault.Hit("core.memo"); err != nil {
-			return nil, err
-		}
-		return mat.buildShardedSolution(ctx, solutionFresh)
-	})
-}
-
-// UniversalShardedCached returns the sharded universal solution if it has
-// already been built, else nil — the stats path, which must not trigger a
-// chase.
-func (mat *Materialization) UniversalShardedCached() *ShardedSolution {
-	ss, ok := mat.uniSh.peek()
-	if !ok {
-		return nil
-	}
-	return ss
-}
-
-// UniversalNullCount returns the number of null nodes in the universal
-// solution. On a sharded materialization it is the sum of the per-shard
-// chase counters, so the exact-search budget check can fire without ever
-// building the merged view.
-func (mat *Materialization) UniversalNullCount() (int, error) {
-	return mat.UniversalNullCountCtx(context.Background())
-}
-
-// UniversalNullCountCtx is UniversalNullCount with a deadline on any chase
-// it triggers.
-func (mat *Materialization) UniversalNullCountCtx(ctx context.Context) (int, error) {
-	if mat.Sharded() {
-		ss, err := mat.UniversalShardedCtx(ctx)
-		if err != nil {
-			return 0, err
-		}
-		return ss.TotalNulls, nil
-	}
-	nulls, err := mat.UniversalNullsCtx(ctx)
-	if err != nil {
-		return 0, err
-	}
-	return len(nulls), nil
-}
-
 // UniversalNulls returns the null-node ids of the universal solution.
 func (mat *Materialization) UniversalNulls() ([]datagraph.NodeID, error) {
 	return mat.UniversalNullsCtx(context.Background())
@@ -310,9 +203,22 @@ func (mat *Materialization) buildSolution(ctx context.Context, style solutionSty
 		return nil, fmt.Errorf("core: %w", ErrInfinite)
 	}
 	gs := mat.gs
-	gt := datagraph.New()
+	rules := mat.cm.Rules()
+	pairsByRule := mat.SourcePairs()
+	dom := mat.DomNodes()
+	// Presize the node and edge stores: every pair of a rule with target
+	// word w adds |w|-1 fresh nodes and |w| edges.
+	nodes, edges := len(dom), 0
+	for ri := range rules {
+		if word, _ := mat.cm.TargetWord(ri); len(word) > 0 {
+			n := pairsByRule[ri].Len()
+			nodes += n * (len(word) - 1)
+			edges += n * len(word)
+		}
+	}
+	gt := datagraph.NewSized(nodes, edges)
 	// Step 1: copy dom(M, Gs).
-	for _, n := range mat.DomNodes() {
+	for _, n := range dom {
 		gt.MustAddNode(n.ID, n.Value)
 	}
 	ids := newFreshIDs(gs, "_n")
@@ -324,8 +230,6 @@ func (mat *Materialization) buildSolution(ctx context.Context, style solutionSty
 		return vals.next()
 	}
 	// Step 2: materialise a path for each rule and pair.
-	rules := mat.cm.Rules()
-	pairsByRule := mat.SourcePairs()
 	for ri, r := range rules {
 		// Fault point "core.chase": one per rule, mid-chase — exercises
 		// abandoning a partially built solution (the partial target graph

@@ -2,16 +2,17 @@ package core
 
 import (
 	"sync"
+
+	"repro/internal/datagraph"
 )
 
 // This file extends the datagraph byte-accounting layer to the core
 // artifacts the serving memory governor charges against its budget:
-// answer sets, sharded solutions, and whole materializations.
+// answer sets and whole materializations.
 
 const (
 	sizeMapEntry = 48
 	sizeString   = 16
-	sizeWord     = 8
 )
 
 // SizeBytes estimates the answer set's resident footprint.
@@ -20,25 +21,8 @@ func (a *Answers) SizeBytes() int64 {
 	for k, ans := range a.m {
 		b += sizeMapEntry
 		b += sizeString + int64(len(k[0])) + sizeString + int64(len(k[1]))
-		b += sizeString + int64(len(ans.From.ID)) + sizeString + int64(len(ans.From.Value.Raw())) + sizeWord
-		b += sizeString + int64(len(ans.To.ID)) + sizeString + int64(len(ans.To.Value.Raw())) + sizeWord
-	}
-	return b
-}
-
-// SizeBytes estimates one solution fragment's footprint: the fragment
-// graph (including any snapshot cached on it by query lowering) plus the
-// shard index arrays.
-func (sh *SolutionShard) SizeBytes() int64 {
-	return sh.G.SizeBytes() + int64(len(sh.GhostOwner)+len(sh.OwnedDom))*4
-}
-
-// SizeBytes estimates the sharded solution's footprint across all
-// fragments.
-func (ss *ShardedSolution) SizeBytes() int64 {
-	b := ss.Part.SizeBytes()
-	for _, sh := range ss.Shards {
-		b += sh.SizeBytes()
+		b += sizeString + int64(len(ans.From.ID)) + datagraph.ValueBytes(ans.From.Value)
+		b += sizeString + int64(len(ans.To.ID)) + datagraph.ValueBytes(ans.To.Value)
 	}
 	return b
 }
@@ -54,8 +38,8 @@ type sizeCache struct {
 }
 
 // SizeBytes estimates the resident footprint of every artifact this
-// materialization has built so far — source pair sets, dom, merged and
-// sharded solutions, value pools. It never forces a build: artifacts are
+// materialization has built so far — source pair sets, dom, solutions,
+// value pools. It never forces a build: artifacts are
 // observed through the memo peek, exactly like the stats path. The walk is
 // memoized keyed on the set of built artifacts, so repeated calls between
 // builds are a mutex hit, not a graph traversal.
@@ -81,9 +65,6 @@ func (mat *Materialization) SizeBytes() int64 {
 	li, liOK := mat.li.peek()
 	nulls, nullsOK := mat.nulls.peek()
 	vals, valsOK := mat.vals.peek()
-	srcPart, srcPartOK := mat.srcPart.peek()
-	uniSh, uniShOK := mat.uniSh.peek()
-	liSh, liShOK := mat.liSh.peek()
 	flag(0, srcOK)
 	flag(1, domNOK)
 	flag(2, domIDOK)
@@ -91,9 +72,6 @@ func (mat *Materialization) SizeBytes() int64 {
 	flag(4, liOK)
 	flag(5, nullsOK)
 	flag(6, valsOK)
-	flag(7, srcPartOK)
-	flag(8, uniShOK)
-	flag(9, liShOK)
 	mat.size.mu.Lock()
 	if mat.size.valid && mat.size.key == probe {
 		b := mat.size.bytes
@@ -112,7 +90,7 @@ func (mat *Materialization) SizeBytes() int64 {
 	add(1, domNOK, func() int64 {
 		var b int64
 		for _, n := range domN {
-			b += sizeString + int64(len(n.ID)) + sizeString + int64(len(n.Value.Raw())) + sizeWord
+			b += sizeString + int64(len(n.ID)) + datagraph.ValueBytes(n.Value)
 		}
 		return b
 	})
@@ -135,13 +113,10 @@ func (mat *Materialization) SizeBytes() int64 {
 	add(6, valsOK, func() int64 {
 		var b int64
 		for _, v := range vals {
-			b += sizeString + int64(len(v.Raw())) + sizeWord
+			b += datagraph.ValueBytes(v)
 		}
 		return b
 	})
-	add(7, srcPartOK, srcPart.SizeBytes)
-	add(8, uniShOK, uniSh.SizeBytes)
-	add(9, liShOK, liSh.SizeBytes)
 
 	mat.size.mu.Lock()
 	mat.size.key, mat.size.bytes, mat.size.valid = key, bytes, true

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/datagraph"
 )
@@ -67,7 +67,7 @@ func newFreshIDs(g *datagraph.Graph, base string) *freshIDs {
 
 func (f *freshIDs) next() datagraph.NodeID {
 	f.n++
-	return datagraph.NodeID(fmt.Sprintf("%s%d", f.prefix, f.n))
+	return datagraph.NodeID(f.prefix + strconv.Itoa(f.n))
 }
 
 // freshValues hands out data values distinct from every value in a graph
@@ -97,7 +97,7 @@ func newFreshValues(g *datagraph.Graph, base string) *freshValues {
 
 func (f *freshValues) next() datagraph.Value {
 	f.n++
-	return datagraph.V(fmt.Sprintf("%s%d", f.prefix, f.n))
+	return datagraph.V(f.prefix + strconv.Itoa(f.n))
 }
 
 // UniversalSolution builds the Section 7 universal solution for a relational

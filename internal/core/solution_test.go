@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -55,8 +56,8 @@ func TestEpsilonRuleUnsatisfiable(t *testing.T) {
 	gs := sourceGraph(t)
 	// knows maps to the empty word: demands ann = bob, impossible.
 	m := NewMapping(R("knows", "()"))
-	if _, err := UniversalSolution(m, gs); err == nil {
-		t.Fatal("ε target over distinct endpoints has no solution")
+	if _, err := UniversalSolution(m, gs); !errors.Is(err, ErrNoSolution) {
+		t.Fatalf("ε target over distinct endpoints has no solution: got %v, want ErrNoSolution", err)
 	}
 	// Self-loop source is fine with ε target.
 	g2 := datagraph.New()
@@ -194,5 +195,41 @@ func TestUniversalSolutionSeparatePaths(t *testing.T) {
 	// Two rules → two fresh nodes, two parallel p·q paths.
 	if len(NullNodes(u)) != 2 {
 		t.Fatalf("nulls = %v", NullNodes(u))
+	}
+}
+
+// Fresh ids and values are the prefix followed by a running decimal
+// counter, in (rule, sorted pair, path position) order. Solution graphs
+// and everything rendered from them depend on these exact strings.
+func TestFreshNamesAreSequential(t *testing.T) {
+	gs := datagraph.New()
+	gs.MustAddNode("u", datagraph.V("1"))
+	gs.MustAddNode("v", datagraph.V("2"))
+	gs.MustAddEdge("u", "a", "v")
+	gs.MustAddEdge("v", "a", "u")
+	m := NewMapping(R("a", "x y z"))
+	u, err := UniversalSolution(m, gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	li, err := LeastInformativeSolution(m, gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.NumNodes() != 6 || li.NumNodes() != 6 {
+		t.Fatalf("nodes = %d and %d, want 6", u.NumNodes(), li.NumNodes())
+	}
+	for i := 1; i <= 4; i++ {
+		id := datagraph.NodeID("_n" + string(rune('0'+i)))
+		if n := u.Node(i + 1); n.ID != id || !n.Value.IsNull() {
+			t.Fatalf("universal node %d = %v, want (%s, null)", i+1, n, id)
+		}
+		want := datagraph.V("_fresh" + string(rune('0'+i)))
+		if n := li.Node(i + 1); n.ID != id || n.Value != want {
+			t.Fatalf("least informative node %d = %v, want (%s, %s)", i+1, n, id, want.Raw())
+		}
+	}
+	if !u.HasEdge("u", "x", "_n1") || !u.HasEdge("_n2", "z", "v") || !u.HasEdge("v", "x", "_n3") {
+		t.Fatalf("paths out of order:\n%s", u)
 	}
 }

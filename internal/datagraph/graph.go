@@ -79,9 +79,6 @@ type Graph struct {
 	aidx        atomic.Pointer[adjIndex]
 	lidx        atomic.Pointer[labelIndex]
 	snap        atomic.Pointer[Snapshot]
-	// sharded caches the partitioned freeze (see FreezeSharded), keyed by
-	// the version counters plus its (shards, policy) configuration.
-	sharded atomic.Pointer[ShardedSnapshot]
 
 	// snapFull/snapDelta count snapshot constructions by kind (full rebuild
 	// vs delta merge) over the graph's lifetime; see SnapshotBuilds.
@@ -113,6 +110,23 @@ func New() *Graph {
 	return &Graph{
 		index: make(map[NodeID]int),
 		edges: make(map[Edge]struct{}),
+	}
+}
+
+// NewSized returns an empty graph with capacity hints for the node and edge
+// stores, for bulk builders that know their sizes up front.
+func NewSized(nodes, edges int) *Graph {
+	if nodes < 0 {
+		nodes = 0
+	}
+	if edges < 0 {
+		edges = 0
+	}
+	return &Graph{
+		nodes: make([]Node, 0, nodes),
+		index: make(map[NodeID]int, nodes),
+		edges: make(map[Edge]struct{}, edges),
+		seq:   make([]seqEdge, 0, edges),
 	}
 }
 

@@ -304,8 +304,8 @@ func runJob(g *datagraph.Graph, queries []core.Query, mode datagraph.CompareMode
 		return
 	}
 	if re, ok := q.(core.RangeEvaluator); ok {
-		// Snapshot kernel: interned labels, scratch shared across the
-		// chunk, start pruning done internally on interned start labels.
+		// Snapshot kernel: interned labels, pooled scratch reused across
+		// this worker's chunks, start pruning on interned start labels.
 		re.EvalRange(g, j.lo, j.hi, mode, sink.Add)
 		return
 	}

@@ -375,9 +375,10 @@ func (a *Automaton) EvalFrom(g *datagraph.Graph, u int, mode datagraph.CompareMo
 		// loops (the SetValue specialization search).
 		if snap := g.Snapshot(); snap != nil {
 			p := a.program(snap)
-			sc := newSnapScratch(snap.NumNodes())
+			sc := p.getScratch()
 			var out []int
 			a.evalFromProg(p, u, mode, sc, func(v int) { out = append(out, v) })
+			p.scratch.Put(sc)
 			return out
 		}
 		return a.evalFromFast(g, u, mode)

@@ -1,6 +1,8 @@
 package ra
 
 import (
+	"sync"
+
 	"repro/internal/datagraph"
 )
 
@@ -18,6 +20,10 @@ type prog struct {
 	snap        *datagraph.Snapshot
 	trans       [][]progTrans
 	startLabels []datagraph.Label
+	// scratch pools kernel scratch sized for snap, so each engine worker
+	// reuses one across the chunks it evaluates instead of allocating one
+	// per chunk.
+	scratch sync.Pool
 }
 
 type progTrans struct {
@@ -37,6 +43,7 @@ func (a *Automaton) program(snap *datagraph.Snapshot) *prog {
 		return p
 	}
 	p := &prog{snap: snap, trans: make([][]progTrans, a.NumStates)}
+	p.scratch.New = func() any { return newSnapScratch(snap.NumNodes()) }
 	for s, ts := range a.Trans {
 		for _, t := range ts {
 			pt := progTrans{to: int32(t.To), eps: t.Eps, any: t.AnyLabel, cond: t.Cond, store: t.Store}
@@ -88,6 +95,10 @@ func newSnapScratch(n int) *snapScratch {
 		accepted: datagraph.NewNodeSet(n),
 	}
 }
+
+// getScratch takes a scratch from the program's pool; callers put it back
+// with p.scratch.Put when done.
+func (p *prog) getScratch() *snapScratch { return p.scratch.Get().(*snapScratch) }
 
 // evalFromProg runs the configuration BFS from start node u over the
 // snapshot, emitting each accepted target once.
@@ -157,8 +168,8 @@ func (a *Automaton) evalFromProg(p *prog, u int, mode datagraph.CompareMode, sc 
 // EvalRange evaluates the automaton from every start node in [lo, hi),
 // emitting each answer pair once. It freezes the graph (cheap when already
 // frozen), lowers the automaton onto the snapshot once, prunes start nodes
-// by interned start labels, and reuses one scratch across the whole range —
-// the engine's frontier shards call this with their chunk bounds.
+// by interned start labels, and reuses one pooled scratch across the whole
+// range — the engine's workers call this with their chunk bounds.
 func (a *Automaton) EvalRange(g *datagraph.Graph, lo, hi int, mode datagraph.CompareMode, emit func(u, v int)) {
 	if !a.fastOK() {
 		for u := lo; u < hi; u++ {
@@ -170,11 +181,12 @@ func (a *Automaton) EvalRange(g *datagraph.Graph, lo, hi int, mode datagraph.Com
 	}
 	snap := g.Freeze()
 	p := a.program(snap)
-	sc := newSnapScratch(snap.NumNodes())
+	sc := p.getScratch()
 	for u := lo; u < hi; u++ {
 		if p.canSkipStart(a, u) {
 			continue
 		}
 		a.evalFromProg(p, u, mode, sc, func(v int) { emit(u, v) })
 	}
+	p.scratch.Put(sc)
 }

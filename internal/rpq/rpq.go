@@ -169,9 +169,10 @@ func (q *Query) Eval(g *datagraph.Graph) *datagraph.PairSet {
 func (q *Query) EvalFrom(g *datagraph.Graph, u int) []int {
 	if snap := g.Snapshot(); snap != nil {
 		p := q.program(snap)
-		sc := newRangeScratch(snap.NumNodes(), q.nfa.NumStates)
+		sc := p.getScratch()
 		var out []int
 		q.evalFromSnap(p, u, sc, func(v int) { out = append(out, v) })
+		p.scratch.Put(sc)
 		return out
 	}
 	if q.kind == KindReachability {

@@ -1,13 +1,15 @@
 package rpq
 
 import (
+	"sync"
+
 	"repro/internal/datagraph"
 )
 
 // This file is the snapshot evaluation kernel for navigational RPQs: the
 // query NFA lowered onto a graph snapshot's label interner (steps on labels
 // absent from the graph dropped), evaluated by epoch-stamped product BFS
-// with scratch shared across a whole start-node range.
+// over scratch that outlives a single call.
 
 // snapProg is the NFA lowered onto one snapshot.
 type snapProg struct {
@@ -16,6 +18,10 @@ type snapProg struct {
 	word        []datagraph.Label // interned word for word RPQs
 	wordDead    bool              // a word label is absent: no nonempty match exists
 	startLabels []datagraph.Label
+	// scratch pools kernel scratch sized for snap. Each engine worker
+	// takes one per chunk and puts it back, so a worker keeps reusing the
+	// same O(V·states) arrays instead of allocating them per chunk.
+	scratch sync.Pool
 }
 
 type snapStep struct {
@@ -25,22 +31,13 @@ type snapStep struct {
 }
 
 // program returns the query lowered onto snap, cached on the query. The
-// cache holds one entry — the snapshot evaluation last ran against — so
-// sharded evaluation, which keeps one program per fragment alive at once,
-// builds its programs with buildProg instead (see shard.go).
+// cache holds one entry: the snapshot evaluation last ran against.
 func (q *Query) program(snap *datagraph.Snapshot) *snapProg {
 	if p := q.progCache.Load(); p != nil && p.snap == snap {
 		return p
 	}
-	p := q.buildProg(snap)
-	q.progCache.Store(p)
-	return p
-}
-
-// buildProg lowers the query NFA onto one snapshot without touching the
-// single-entry program cache.
-func (q *Query) buildProg(snap *datagraph.Snapshot) *snapProg {
 	p := &snapProg{snap: snap, steps: make([][]snapStep, q.nfa.NumStates)}
+	p.scratch.New = func() any { return newRangeScratch(snap.NumNodes(), q.nfa.NumStates) }
 	for s, steps := range q.nfa.Steps {
 		for _, st := range steps {
 			ns := snapStep{any: st.AnyLabel, toClosure: q.nfa.Closure(st.To)}
@@ -70,6 +67,7 @@ func (q *Query) buildProg(snap *datagraph.Snapshot) *snapProg {
 			p.startLabels = append(p.startLabels, l)
 		}
 	}
+	q.progCache.Store(p)
 	return p
 }
 
@@ -88,7 +86,9 @@ func (q *Query) canSkipStart(p *snapProg, u int) bool {
 }
 
 // rangeScratch is reusable kernel state: epoch-stamped visited arrays avoid
-// both reallocation and O(size) clearing between start nodes.
+// both reallocation and O(size) clearing between start nodes. Every kernel
+// stamps with the shared epoch, so all three arrays are cleared together
+// on the rare wrap-around.
 type rangeScratch struct {
 	epoch    uint32
 	visited  []uint32 // product states (node*numStates+state) for the NFA BFS
@@ -107,16 +107,33 @@ func newRangeScratch(n, numStates int) *rangeScratch {
 	}
 }
 
+// nextEpoch starts a fresh visited generation.
+func (sc *rangeScratch) nextEpoch() uint32 {
+	sc.epoch++
+	if sc.epoch == 0 {
+		clear(sc.visited)
+		clear(sc.seen)
+		clear(sc.accepted)
+		sc.epoch = 1
+	}
+	return sc.epoch
+}
+
+// getScratch takes a scratch from the program's pool; callers put it back
+// with p.scratch.Put when done.
+func (p *snapProg) getScratch() *rangeScratch { return p.scratch.Get().(*rangeScratch) }
+
 // EvalRange evaluates the query from every start node in [lo, hi), emitting
 // each answer pair once. The graph is frozen once (cheap when already
-// frozen) and all scratch is shared across the range.
+// frozen); the scratch comes from the program's pool and is returned to it.
 func (q *Query) EvalRange(g *datagraph.Graph, lo, hi int, emit func(u, v int)) {
 	snap := g.Freeze()
 	p := q.program(snap)
-	sc := newRangeScratch(snap.NumNodes(), q.nfa.NumStates)
+	sc := p.getScratch()
 	for u := lo; u < hi; u++ {
 		q.evalFromSnap(p, u, sc, func(v int) { emit(u, v) })
 	}
+	p.scratch.Put(sc)
 }
 
 // evalFromSnap dispatches one start node to the appropriate kernel.
@@ -138,8 +155,7 @@ func (q *Query) evalFromSnap(p *snapProg, u int, sc *rangeScratch, emit func(v i
 func (q *Query) productSnap(p *snapProg, u int, sc *rangeScratch, emit func(v int)) {
 	snap := p.snap
 	numStates := q.nfa.NumStates
-	sc.epoch++
-	epoch := sc.epoch
+	epoch := sc.nextEpoch()
 	sc.queue = sc.queue[:0]
 	push := func(node int32, state int) {
 		id := int(node)*numStates + state
@@ -188,12 +204,12 @@ func (q *Query) wordSnap(p *snapProg, u int, sc *rangeScratch, emit func(v int))
 	snap := p.snap
 	sc.frontier = append(sc.frontier[:0], int32(u))
 	for _, l := range p.word {
-		sc.epoch++
+		epoch := sc.nextEpoch()
 		sc.next = sc.next[:0]
 		for _, node := range sc.frontier {
 			for _, to := range snap.OutLabeled(int(node), l) {
-				if sc.seen[to] != sc.epoch {
-					sc.seen[to] = sc.epoch
+				if sc.seen[to] != epoch {
+					sc.seen[to] = epoch
 					sc.next = append(sc.next, to)
 				}
 			}
@@ -211,8 +227,7 @@ func (q *Query) wordSnap(p *snapProg, u int, sc *rangeScratch, emit func(v int))
 // reachableSnap emits every node reachable from u (including u via ε).
 func (q *Query) reachableSnap(p *snapProg, u int, sc *rangeScratch, emit func(v int)) {
 	snap := p.snap
-	sc.epoch++
-	epoch := sc.epoch
+	epoch := sc.nextEpoch()
 	sc.queue = append(sc.queue[:0], int32(u))
 	sc.seen[u] = epoch
 	for len(sc.queue) > 0 {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/fault"
 	"repro/internal/ingest"
 )
@@ -274,5 +275,75 @@ func TestIngestCommitFaultDoesNotLand(t *testing.T) {
 	_, chunks = ingestDo(t, h, "faulty", req)
 	if last := chunks[len(chunks)-1]; !last.Done {
 		t.Fatalf("retry after fault exhaustion failed: %+v", last)
+	}
+}
+
+// TestIngestedNullCellsServeQueries queries a landed graph whose mapping
+// reaches SQL-null cell nodes (bob's empty city). The null nodes land in
+// dom(M, Gs), so sizing the backend must not read their values: every
+// query answers 200 with the embedded session's bytes.
+func TestIngestedNullCellsServeQueries(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	h := s.Handler()
+	req := IngestRequest{
+		Schema: ingestTestSchema,
+		Tables: map[string]string{"customer": ingestTestCustomers, "orders": ingestTestOrders},
+	}
+	if _, chunks := ingestDo(t, h, "nulls", req); !chunks[len(chunks)-1].Done {
+		t.Fatalf("ingest failed: %+v", chunks[len(chunks)-1])
+	}
+	const mappingText = "rule orders#customer -> placed-by\nrule customer#city -> located-in\n"
+	if _, err := s.RegisterMappingText("rel", mappingText); err != nil {
+		t.Fatal(err)
+	}
+	var si SessionInfo
+	if code := do(t, h, "POST", "/v1/sessions", "", CreateSessionRequest{Mapping: "rel", Graph: "nulls"}, &si); code != http.StatusOK {
+		t.Fatalf("create session: %d", code)
+	}
+
+	schema, err := ingest.ParseSchema(ingestTestSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := ingest.Load(context.Background(), schema, ingest.Options{},
+		ingest.CSVString("customer", ingestTestCustomers), ingest.CSVString("orders", ingestTestOrders))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := repro.ParseMapping(mappingText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	embedded, err := repro.NewSession(repro.MustCompile(m), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range []string{"located-in", "placed-by located-in", "(placed-by located-in)="} {
+		q, err := repro.ParseREE(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := embedded.CertainNull(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBytes, err := json.Marshal(AnswersWire(want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var qr QueryResponse
+		if code := do(t, h, "POST", "/v1/sessions/"+si.ID+"/query", "", QueryRequest{Query: text}, &qr); code != http.StatusOK {
+			t.Fatalf("query %q: status %d", text, code)
+		}
+		gotBytes, err := json.Marshal(qr.Answers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotBytes, wantBytes) {
+			t.Fatalf("query %q: server answers diverge from embedded session\n got %s\nwant %s", text, gotBytes, wantBytes)
+		}
+	}
+	if embedded.MemoryBytes() <= 0 {
+		t.Fatal("embedded session reports no resident bytes")
 	}
 }
