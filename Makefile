@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race bench bench-smoke bench-json bench-diff lint fmt vet api-check api-update serve-smoke chaos-smoke overload-smoke ingest-smoke docs-check ci
+.PHONY: build test test-race bench bench-smoke bench-selftest bench-json bench-diff lint fmt vet api-check api-update serve-smoke chaos-smoke overload-smoke ingest-smoke docs-check ci
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,13 @@ bench:
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 	$(GO) run ./cmd/gsmbench -quick -timeout 30s
+
+# Self-test of the end-to-end benchmark: gsmdbench is a nested module, so
+# `go test ./...` never reaches it, yet it imports the read path (FreezeFull,
+# SnapshotBuilds, engine.EvalGraph, PreparedQuery.EvalRange). Its tests
+# keep it building and answering correctly against this checkout.
+bench-selftest:
+	cd gsmdbench && $(GO) test .
 
 # Machine-readable benchmark report (CI uploads it as a BENCH_*.json
 # artifact so the perf trajectory accumulates run over run).
@@ -90,4 +97,4 @@ vet:
 
 lint: fmt vet
 
-ci: build lint api-check docs-check test-race serve-smoke chaos-smoke overload-smoke ingest-smoke bench-smoke bench-json
+ci: build lint api-check docs-check test-race serve-smoke chaos-smoke overload-smoke ingest-smoke bench-smoke bench-selftest bench-json

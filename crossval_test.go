@@ -70,10 +70,11 @@ func TestWorkloadEvalSnapshotStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := u.Snapshot()
-	if snap == nil {
+	full, delta := u.SnapshotBuilds()
+	if full+delta == 0 {
 		t.Fatal("UniversalSolution must return a frozen graph")
 	}
+	snap := u.Freeze()
 	q := ree.MustParseQuery("(p q)= | r")
 	first := q.Eval(u, datagraph.SQLNulls)
 	for i := 0; i < 3; i++ {
@@ -81,7 +82,7 @@ func TestWorkloadEvalSnapshotStability(t *testing.T) {
 			t.Fatal("repeated evaluation diverged")
 		}
 	}
-	if u.Snapshot() != snap {
+	if f, d := u.SnapshotBuilds(); u.Freeze() != snap || f != full || d != delta {
 		t.Fatal("evaluation must not rebuild the cached snapshot")
 	}
 }

@@ -35,12 +35,6 @@ func (n NavQuery) EvalRange(g *datagraph.Graph, lo, hi int, _ datagraph.CompareM
 	n.Q.EvalRange(g, lo, hi, emit)
 }
 
-// StartLabels exposes the RPQ's frontier metadata for schedulers.
-func (n NavQuery) StartLabels() ([]string, bool) { return n.Q.StartLabels() }
-
-// AcceptsEmptyPath exposes the RPQ's frontier metadata for schedulers.
-func (n NavQuery) AcceptsEmptyPath() bool { return n.Q.AcceptsEmptyPath() }
-
 // EvalFunc evaluates a query over a graph under a comparison mode. The
 // certain-answer algorithms accept one so an execution engine (see
 // internal/engine) can substitute a parallel, frontier-sharded evaluator

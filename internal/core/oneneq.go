@@ -165,6 +165,11 @@ func CertainOneInequalityAll(m *Mapping, gs *datagraph.Graph, q *ree.Query,
 // matchingPaths enumerates node sequences of the universal solution
 // spelling the given label word from x to y.
 func matchingPaths(ctx context.Context, u *datagraph.Graph, x, y int, labels []string, budget int) ([][]int, error) {
+	snap := u.Freeze()
+	word := make([]datagraph.Label, len(labels))
+	for i, name := range labels {
+		word[i], _ = snap.LabelID(name) // NoLabel when absent: no edge matches
+	}
 	var out [][]int
 	steps := 0
 	cur := make([]int, 0, len(labels)+1)
@@ -187,8 +192,8 @@ func matchingPaths(ctx context.Context, u *datagraph.Graph, x, y int, labels []s
 			}
 			return nil
 		}
-		for _, to := range u.OutEdges(node, labels[pos]) {
-			if err := walk(to, pos+1); err != nil {
+		for _, to := range snap.OutLabeled(node, word[pos]) {
+			if err := walk(int(to), pos+1); err != nil {
 				return err
 			}
 		}

@@ -25,7 +25,7 @@ func TestUniversalSolutionShape(t *testing.T) {
 	}
 	// The null is the middle of ann -f-> n -f-> bob.
 	ni, _ := u.IndexOf(nulls[0])
-	if len(u.In(ni)) != 1 || len(u.Out(ni)) != 1 {
+	if snap := u.Freeze(); len(snap.InAll(ni)) != 1 || len(snap.OutAll(ni)) != 1 {
 		t.Fatal("null node should have exactly one in and one out edge")
 	}
 	if !u.HasEdge("ann", "f", nulls[0]) || !u.HasEdge(nulls[0], "f", "bob") {

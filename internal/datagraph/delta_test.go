@@ -261,7 +261,7 @@ func TestCloneSnapshotIsolation(t *testing.T) {
 	s := g.Freeze()
 
 	c := g.Clone()
-	if c.Snapshot() != nil {
+	if cachedSnapshot(c) != nil {
 		t.Fatal("Clone must not inherit the parent's cached snapshot")
 	}
 	cs := c.Freeze()
@@ -274,7 +274,7 @@ func TestCloneSnapshotIsolation(t *testing.T) {
 	c.MustAddEdge("b", "e", "a")
 	c.SetValue(0, V("9"))
 	c.Freeze()
-	if g.Snapshot() != s {
+	if cachedSnapshot(g) != s {
 		t.Fatal("mutating and freezing a clone must not disturb the parent's cache")
 	}
 	if s.NumLabelEdges(0) != 1 {
@@ -392,7 +392,7 @@ func TestFreezeFull(t *testing.T) {
 	if len(full.out.segs) != 1 {
 		t.Fatal("FreezeFull must produce a single-segment snapshot")
 	}
-	if g.Snapshot() != full {
+	if cachedSnapshot(g) != full {
 		t.Fatal("FreezeFull must cache its result")
 	}
 	equalSnapshots(t, delta, full)

@@ -50,8 +50,8 @@ func TestEdgeSetSemantics(t *testing.T) {
 		t.Fatalf("duplicate edge changed count: %d", g.NumEdges())
 	}
 	ui, _ := g.IndexOf("u")
-	if len(g.Out(ui)) != 1 {
-		t.Fatalf("adjacency duplicated: %v", g.Out(ui))
+	if got := g.Freeze().OutAll(ui); len(got) != 1 {
+		t.Fatalf("adjacency duplicated: %v", got)
 	}
 }
 
@@ -59,11 +59,21 @@ func TestAdjacency(t *testing.T) {
 	g := buildTriangle(t)
 	ui, _ := g.IndexOf("u")
 	vi, _ := g.IndexOf("v")
-	if got := g.Out(ui); len(got) != 1 || got[0].Label != "a" || got[0].To != vi {
-		t.Fatalf("Out(u) = %v", got)
+	snap := g.Freeze()
+	a, _ := snap.LabelID("a")
+	row := func(u int, in bool) (labels []Label, nbrs []int32) {
+		snap.EachSlot(u, in, func(l Label, ns []int32) {
+			for _, x := range ns {
+				labels, nbrs = append(labels, l), append(nbrs, x)
+			}
+		})
+		return labels, nbrs
 	}
-	if got := g.In(vi); len(got) != 1 || got[0].Label != "a" || got[0].To != ui {
-		t.Fatalf("In(v) = %v", got)
+	if ls, ns := row(ui, false); len(ns) != 1 || ls[0] != a || int(ns[0]) != vi {
+		t.Fatalf("out-row of u = %v %v", ls, ns)
+	}
+	if ls, ns := row(vi, true); len(ns) != 1 || ls[0] != a || int(ns[0]) != ui {
+		t.Fatalf("in-row of v = %v %v", ls, ns)
 	}
 }
 

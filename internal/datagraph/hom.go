@@ -93,23 +93,32 @@ func findHom(g, h *Graph, fixed map[NodeID]NodeID, mode homMode) (map[NodeID]Nod
 			full.Add(j)
 		}
 	}
+	// Both graphs are read through their snapshots; hLabel translates g's
+	// label ids into h's (NoLabel when h has no such edge).
+	gs, hs := g.Freeze(), h.Freeze()
+	hLabel := make([]Label, gs.NumLabels())
+	for l := range hLabel {
+		hLabel[l], _ = hs.LabelID(gs.LabelName(Label(l)))
+	}
 	// Per-label bitsets of target nodes with at least one matching edge,
 	// built on first demand.
-	outHas := make(map[string]*NodeSet)
-	inHas := make(map[string]*NodeSet)
-	labelSet := func(cache map[string]*NodeSet, label string, incoming bool) *NodeSet {
-		if s, ok := cache[label]; ok {
+	outHas := make(map[Label]*NodeSet)
+	inHas := make(map[Label]*NodeSet)
+	labelSet := func(cache map[Label]*NodeSet, l Label, incoming bool) *NodeSet {
+		if s, ok := cache[l]; ok {
 			return s
 		}
 		s := NewNodeSet(hn)
-		for _, p := range h.LabelPairs(label) {
-			if incoming {
-				s.Add(p.To)
-			} else {
-				s.Add(p.From)
-			}
+		if l != NoLabel {
+			hs.EachLabelEdge(l, func(from, to int32) {
+				if incoming {
+					s.Add(int(to))
+				} else {
+					s.Add(int(from))
+				}
+			})
 		}
-		cache[label] = s
+		cache[l] = s
 		return s
 	}
 	candidates := make([][]int, n)
@@ -127,12 +136,12 @@ func findHom(g, h *Graph, fixed map[NodeID]NodeID, mode homMode) (map[NodeID]Nod
 			return nil, false
 		}
 		cs.CopyFrom(base)
-		for _, he := range g.Out(i) {
-			cs.IntersectWith(labelSet(outHas, he.Label, false))
-		}
-		for _, he := range g.In(i) {
-			cs.IntersectWith(labelSet(inHas, he.Label, true))
-		}
+		gs.EachSlot(i, false, func(l Label, _ []int32) {
+			cs.IntersectWith(labelSet(outHas, hLabel[l], false))
+		})
+		gs.EachSlot(i, true, func(l Label, _ []int32) {
+			cs.IntersectWith(labelSet(inHas, hLabel[l], true))
+		})
 		candidates[i] = cs.AppendTo(nil)
 		if len(candidates[i]) == 0 {
 			return nil, false
@@ -153,20 +162,25 @@ func findHom(g, h *Graph, fixed map[NodeID]NodeID, mode homMode) (map[NodeID]Nod
 	}
 
 	// consistent checks every edge of g between already-assigned nodes.
+	// Self-loops are covered since assign[i] is set temporarily by the
+	// caller before recursing.
 	consistent := func(i, target int) bool {
-		for _, he := range g.Out(i) {
-			if t := assign[he.To]; t >= 0 && !h.HasEdgeIndex(target, he.Label, t) {
-				return false
+		ok := true
+		gs.EachSlot(i, false, func(l Label, succ []int32) {
+			for _, v := range succ {
+				if t := assign[v]; ok && t >= 0 && !hs.HasEdge(target, hLabel[l], t) {
+					ok = false
+				}
 			}
-		}
-		for _, he := range g.In(i) {
-			if s := assign[he.To]; s >= 0 && !h.HasEdgeIndex(s, he.Label, target) {
-				return false
+		})
+		gs.EachSlot(i, true, func(l Label, pred []int32) {
+			for _, v := range pred {
+				if s := assign[v]; ok && s >= 0 && !hs.HasEdge(s, hLabel[l], target) {
+					ok = false
+				}
 			}
-		}
-		// Self-loops where he.To == i are covered above since assign[i] is
-		// set temporarily by the caller before recursing.
-		return true
+		})
+		return ok
 	}
 
 	var rec func(k int) bool

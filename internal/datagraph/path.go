@@ -24,8 +24,9 @@ func (p Path) Validate(g *Graph) error {
 	if len(p.Nodes) != len(p.Labels)+1 {
 		return fmt.Errorf("datagraph: path has %d nodes and %d labels", len(p.Nodes), len(p.Labels))
 	}
+	snap := g.Freeze()
 	for i, lab := range p.Labels {
-		if !g.HasEdgeIndex(p.Nodes[i], lab, p.Nodes[i+1]) {
+		if l, ok := snap.LabelID(lab); !ok || !snap.HasEdge(p.Nodes[i], l, p.Nodes[i+1]) {
 			return fmt.Errorf("datagraph: path step %d: no edge %s -%s-> %s",
 				i, g.Node(p.Nodes[i]).ID, lab, g.Node(p.Nodes[i+1]).ID)
 		}

@@ -14,7 +14,6 @@ const (
 	sliceHeader    = 24 // slice header (pointer + len + cap)
 	mapEntryBytes  = 48 // rough per-entry bucket cost of a Go map
 	mapBaseBytes   = 64 // fixed map header cost
-	halfEdgeBytes  = stringHeader + wordBytes
 	int32Bytes     = 4
 	csrRowBytes    = 12 // csrRow: seg + lo + hi
 	seqEdgeBytes   = 2*int32Bytes + stringHeader
@@ -35,9 +34,8 @@ func ValueBytes(v Value) int64 { return stringBytes(v.s) + wordBytes }
 func nodeBytes(n Node) int64 { return stringBytes(string(n.ID)) + ValueBytes(n.Value) }
 
 // SizeBytes estimates the resident footprint of the graph: the node list,
-// the id index, the edge set and log, plus every derived structure
-// currently cached on it (flat adjacency, label index, snapshot). It is
-// the unit of account the server's memory governor sums per backend.
+// the id index, the edge set and log, plus the snapshot cached on it. It
+// is the unit of account the server's memory governor sums per backend.
 func (g *Graph) SizeBytes() int64 {
 	var b int64
 	for _, n := range g.nodes {
@@ -51,39 +49,8 @@ func (g *Graph) SizeBytes() int64 {
 		b += seqEdgeBytes + stringBytes(e.label) + mapEntryBytes + 3*stringHeader
 	}
 	b += 2 * mapBaseBytes
-	if a := g.aidx.Load(); a != nil {
-		for _, row := range a.out {
-			b += sliceHeader + int64(len(row))*halfEdgeBytes
-		}
-		for _, row := range a.in {
-			b += sliceHeader + int64(len(row))*halfEdgeBytes
-		}
-	}
-	if li := g.lidx.Load(); li != nil {
-		b += li.sizeBytes()
-	}
 	if s := g.snap.Load(); s != nil {
 		b += s.SizeBytes()
-	}
-	return b
-}
-
-func (li *labelIndex) sizeBytes() int64 {
-	b := int64(mapBaseBytes)
-	for _, byLabel := range li.out {
-		b += mapBaseBytes
-		for l, r := range byLabel {
-			b += mapEntryBytes + stringBytes(l) + int64(len(r))*wordBytes
-		}
-	}
-	for _, byLabel := range li.in {
-		b += mapBaseBytes
-		for l, r := range byLabel {
-			b += mapEntryBytes + stringBytes(l) + int64(len(r))*wordBytes
-		}
-	}
-	for l, ps := range li.byLabel {
-		b += mapEntryBytes + stringBytes(l) + sliceHeader + int64(len(ps))*pairEntryBytes
 	}
 	return b
 }

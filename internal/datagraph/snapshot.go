@@ -14,11 +14,12 @@ type Label int32
 // NoLabel is the sentinel for "no such label in this snapshot".
 const NoLabel Label = -1
 
-// Snapshot is a frozen, interned evaluation form of a Graph: CSR
-// (compressed-sparse-row) out/in adjacency grouped by interned label,
-// per-label edge lists, and interned node values. It is immutable and safe
-// to share across goroutines; the engine freezes a graph once per batch and
-// every worker evaluates against the same snapshot.
+// Snapshot is the frozen, interned read form of a Graph and the only one:
+// CSR (compressed-sparse-row) out/in adjacency grouped by interned label,
+// per-label edge lists, and interned node values. Every evaluator reads
+// the topology through it. It is immutable and safe to share across
+// goroutines; the engine freezes a graph once per batch and every worker
+// evaluates against the same snapshot.
 //
 // Snapshots are maintained incrementally. The graph's topology mutations
 // are pure appends (AddNode extends the node list, AddEdge extends the edge
@@ -45,9 +46,8 @@ type Snapshot struct {
 	in  csrDir
 
 	// Per-label edge lists in insertion order, as chains of append-only
-	// segments (the interned counterpart of Graph.LabelPairs). A delta
-	// freeze extends a label's chain with one new span; existing spans are
-	// shared with the previous snapshot.
+	// segments. A delta freeze extends a label's chain with one new span;
+	// existing spans are shared with the previous snapshot.
 	pairs []labelPairList
 
 	// Interned node values: valueID[u] ≥ 1 for every node; all null nodes
@@ -114,6 +114,18 @@ type labelPairList struct {
 	total int32
 }
 
+// TopoKey identifies a snapshot's topology. Snapshots of one graph with the
+// same key — a value-only refreeze after SetValue, or FreezeFull — share
+// the label ids and the CSR adjacency and differ at most in node values.
+// Evaluators key what they lower onto the label interner by it.
+type TopoKey struct {
+	g       *Graph
+	version uint64
+}
+
+// TopoKey returns the snapshot's topology key.
+func (s *Snapshot) TopoKey() TopoKey { return TopoKey{g: s.g, version: s.topoVersion} }
+
 // NumNodes returns the number of nodes.
 func (s *Snapshot) NumNodes() int { return s.n }
 
@@ -136,11 +148,14 @@ func (s *Snapshot) NumValues() int { return s.numValues }
 // Graph returns the graph this snapshot was frozen from.
 func (s *Snapshot) Graph() *Graph { return s.g }
 
-// LabelID resolves a label string to its interned id; ok is false when the
-// label does not occur in the graph (so no edge can match it).
+// LabelID resolves a label string to its interned id; it returns NoLabel
+// and false when the label does not occur in the graph (so no edge can
+// match it).
 func (s *Snapshot) LabelID(name string) (Label, bool) {
-	l, ok := s.labelIDs[name]
-	return l, ok
+	if l, ok := s.labelIDs[name]; ok {
+		return l, true
+	}
+	return NoLabel, false
 }
 
 // LabelName returns the string form of an interned label.
@@ -184,7 +199,24 @@ func (d *csrDir) all(u int) []int32 {
 	return sg.targets[sg.slotOff[r.lo]:sg.slotOff[r.hi]]
 }
 
-// OutLabeled returns the successors of u along edges labeled l.
+// EachSlot calls f once per label on u's adjacency row — its out-edges, or
+// its in-edges when in is set — in ascending label order, with the
+// neighbours under that label in insertion order. It is the labelled view
+// of OutAll/InAll for callers that need each edge's label.
+func (s *Snapshot) EachSlot(u int, in bool, f func(l Label, nbrs []int32)) {
+	d := &s.out
+	if in {
+		d = &s.in
+	}
+	r := d.rows[u]
+	sg := d.segs[r.seg]
+	for k := r.lo; k < r.hi; k++ {
+		f(sg.labels[k], sg.targets[sg.slotOff[k]:sg.slotOff[k+1]])
+	}
+}
+
+// OutLabeled returns the successors of u along edges labeled l (none for
+// NoLabel).
 func (s *Snapshot) OutLabeled(u int, l Label) []int32 { return s.out.labeled(u, l) }
 
 // InLabeled returns the predecessors of u along edges labeled l.
@@ -352,9 +384,8 @@ func buildFull(g *Graph) *Snapshot {
 		}
 	}
 
-	adj := g.adj()
-	s.out = buildCSR(n, adj.out, s.labelIDs)
-	s.in = buildCSR(n, adj.in, s.labelIDs)
+	s.out = csrFromPairs(n, nl, pairOff, pairFrom, pairTo)
+	s.in = csrFromPairs(n, nl, pairOff, pairTo, pairFrom)
 	s.internValuesFull()
 	return s
 }
@@ -551,31 +582,66 @@ func appendRow(seg *csrSeg, des []slotEdge) {
 	}
 }
 
-// buildCSR compiles one direction of per-node half-edge lists into a
-// single-segment label-grouped CSR. Within a (node, label) slot, targets
-// keep their insertion order, matching Graph.OutEdges/InEdges.
-func buildCSR(n int, adj [][]HalfEdge, labelIDs map[string]Label) csrDir {
-	totalEdges := 0
-	for _, hes := range adj {
-		totalEdges += len(hes)
+// csrFromPairs builds one direction of the label-grouped CSR as a single
+// segment, straight from the label-major edge lists: label l's edges are
+// src[i] → dst[i] for i in [pairOff[l], pairOff[l+1]), in insertion order.
+// A counting pass sizes every row's slots and targets; a fill pass in the
+// same label-major order then leaves each row's slots in ascending label
+// order, with targets in insertion order within a slot — the order a delta
+// merge (mergeRow) preserves.
+func csrFromPairs(n, nl int, pairOff, src, dst []int32) csrDir {
+	// Counting pass: slots and targets per row, shifted by one so the
+	// prefix sums below turn them into row starts.
+	slotAt := make([]int32, n+1)
+	tgtAt := make([]int32, n+1)
+	last := make([]Label, n) // label of the row's most recent slot
+	for u := range last {
+		last[u] = NoLabel
 	}
-	seg := &csrSeg{targets: make([]int32, 0, totalEdges)}
-	d := csrDir{
-		rows: make([]csrRow, n),
-		segs: []*csrSeg{seg},
-	}
-	var scratch []slotEdge
-	for u := 0; u < n; u++ {
-		scratch = scratch[:0]
-		for _, he := range adj[u] {
-			scratch = append(scratch, slotEdge{label: labelIDs[he.Label], to: int32(he.To)})
+	for l := 0; l < nl; l++ {
+		for i := pairOff[l]; i < pairOff[l+1]; i++ {
+			u := src[i]
+			tgtAt[u+1]++
+			if last[u] != Label(l) {
+				last[u] = Label(l)
+				slotAt[u+1]++
+			}
 		}
-		sortSlotEdges(scratch)
-		lo := int32(len(seg.labels))
-		appendRow(seg, scratch)
-		d.rows[u] = csrRow{seg: 0, lo: lo, hi: int32(len(seg.labels))}
 	}
-	seg.slotOff = append(seg.slotOff, int32(len(seg.targets)))
+	d := csrDir{rows: make([]csrRow, n)}
+	for u := 0; u < n; u++ {
+		slotAt[u+1] += slotAt[u]
+		tgtAt[u+1] += tgtAt[u]
+		d.rows[u] = csrRow{lo: slotAt[u], hi: slotAt[u+1]}
+	}
+	seg := &csrSeg{
+		labels:  make([]Label, slotAt[n]),
+		slotOff: make([]int32, slotAt[n]+1),
+		targets: make([]int32, len(src)),
+	}
+	seg.slotOff[slotAt[n]] = int32(len(src))
+	d.segs = []*csrSeg{seg}
+
+	// Fill pass: slotAt and tgtAt now serve as per-row cursors. Rows are
+	// contiguous in targets, so a slot's offset is its row cursor at the
+	// moment the slot opens.
+	for u := range last {
+		last[u] = NoLabel
+	}
+	for l := 0; l < nl; l++ {
+		for i := pairOff[l]; i < pairOff[l+1]; i++ {
+			u := src[i]
+			if last[u] != Label(l) {
+				last[u] = Label(l)
+				k := slotAt[u]
+				slotAt[u]++
+				seg.labels[k] = Label(l)
+				seg.slotOff[k] = tgtAt[u]
+			}
+			seg.targets[tgtAt[u]] = dst[i]
+			tgtAt[u]++
+		}
+	}
 	return d
 }
 

@@ -6,25 +6,94 @@ import (
 	"testing"
 )
 
+// randomIndexedGraph builds a random graph through the public mutation API
+// (duplicate-edge no-ops mixed in) and returns it with its edges in
+// insertion order, as dense-index triples. The log is the oracle the CSR
+// checks below compare against: it is built here, independently of the
+// snapshot builders.
+func randomIndexedGraph(t *testing.T, rng *rand.Rand, nodes, edges int, labels []string) (*Graph, []logEdge) {
+	t.Helper()
+	g := New()
+	for i := 0; i < nodes; i++ {
+		g.MustAddNode(NodeID(fmt.Sprintf("n%d", i)), V(fmt.Sprintf("d%d", rng.Intn(5))))
+	}
+	var log []logEdge
+	for e := 0; e < edges; e++ {
+		from, to := rng.Intn(nodes), rng.Intn(nodes)
+		lab := labels[rng.Intn(len(labels))]
+		fromID, toID := NodeID(fmt.Sprintf("n%d", from)), NodeID(fmt.Sprintf("n%d", to))
+		if !g.HasEdge(fromID, lab, toID) {
+			log = append(log, logEdge{from, lab, to})
+		}
+		g.MustAddEdge(fromID, lab, toID)
+	}
+	return g, log
+}
+
+type logEdge struct {
+	from  int
+	label string
+	to    int
+}
+
+// labeledNeighbours is the naive oracle: u's neighbours under label lab
+// (successors, or predecessors when in is set) in insertion order.
+func labeledNeighbours(log []logEdge, u int, lab string, in bool) []int {
+	var out []int
+	for _, e := range log {
+		if e.label != lab {
+			continue
+		}
+		if !in && e.from == u {
+			out = append(out, e.to)
+		}
+		if in && e.to == u {
+			out = append(out, e.from)
+		}
+	}
+	return out
+}
+
+func equalTargets(got []int32, want []int) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if int(got[i]) != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // TestSnapshotAgreesWithIndexes is the CSR property test: on random graphs
 // built through the public mutation API, the snapshot's interned adjacency
-// must agree with the string-keyed index accessors everywhere.
+// must agree with a naive scan of the insertion-order edge log everywhere.
 func TestSnapshotAgreesWithIndexes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	labels := []string{"a", "b", "c", "d"}
 	for trial := 0; trial < 40; trial++ {
 		nodes := 1 + rng.Intn(25)
 		edges := rng.Intn(80)
-		g := randomIndexedGraph(t, rng, nodes, edges, labels)
+		g, log := randomIndexedGraph(t, rng, nodes, edges, labels)
+		if len(log) != g.NumEdges() {
+			t.Fatalf("trial %d: log has %d edges, graph %d", trial, len(log), g.NumEdges())
+		}
 		snap := g.Freeze()
 
 		if snap.NumNodes() != g.NumNodes() {
 			t.Fatalf("trial %d: snapshot has %d nodes, graph %d", trial, snap.NumNodes(), g.NumNodes())
 		}
 		for _, lab := range labels {
+			var pairs []logEdge
+			for _, e := range log {
+				if e.label == lab {
+					pairs = append(pairs, e)
+				}
+			}
 			l, ok := snap.LabelID(lab)
 			if !ok {
-				if len(g.LabelPairs(lab)) != 0 {
+				if len(pairs) != 0 {
 					t.Fatalf("trial %d: label %q missing from interner but has edges", trial, lab)
 				}
 				continue
@@ -32,63 +101,73 @@ func TestSnapshotAgreesWithIndexes(t *testing.T) {
 			if snap.LabelName(l) != lab {
 				t.Fatalf("trial %d: LabelName round-trip broke for %q", trial, lab)
 			}
-			pairs := g.LabelPairs(lab)
 			if snap.NumLabelEdges(l) != len(pairs) {
-				t.Fatalf("trial %d: NumLabelEdges(%q) = %d, index %d", trial, lab, snap.NumLabelEdges(l), len(pairs))
+				t.Fatalf("trial %d: NumLabelEdges(%q) = %d, log %d", trial, lab, snap.NumLabelEdges(l), len(pairs))
 			}
 			i := 0
 			snap.EachLabelEdge(l, func(from, to int32) {
-				if i < len(pairs) && (int(from) != pairs[i].From || int(to) != pairs[i].To) {
+				if i < len(pairs) && (int(from) != pairs[i].from || int(to) != pairs[i].to) {
 					t.Fatalf("trial %d: EachLabelEdge(%q)[%d] = (%d,%d), want %v",
 						trial, lab, i, from, to, pairs[i])
 				}
 				i++
 			})
 			if i != len(pairs) {
-				t.Fatalf("trial %d: EachLabelEdge(%q) visited %d edges, index %d", trial, lab, i, len(pairs))
+				t.Fatalf("trial %d: EachLabelEdge(%q) visited %d edges, log %d", trial, lab, i, len(pairs))
 			}
 			for u := 0; u < nodes; u++ {
-				wantOut := g.OutEdges(u, lab)
-				gotOut := snap.OutLabeled(u, l)
-				if len(wantOut) != len(gotOut) {
-					t.Fatalf("trial %d: OutLabeled(%d,%q) = %v, want %v", trial, u, lab, gotOut, wantOut)
+				wantOut := labeledNeighbours(log, u, lab, false)
+				if got := snap.OutLabeled(u, l); !equalTargets(got, wantOut) {
+					t.Fatalf("trial %d: OutLabeled(%d,%q) = %v, want %v", trial, u, lab, got, wantOut)
 				}
-				for i := range wantOut {
-					if int(gotOut[i]) != wantOut[i] {
-						t.Fatalf("trial %d: OutLabeled(%d,%q) = %v, want %v", trial, u, lab, gotOut, wantOut)
-					}
-				}
-				wantIn := g.InEdges(u, lab)
-				gotIn := snap.InLabeled(u, l)
-				if len(wantIn) != len(gotIn) {
-					t.Fatalf("trial %d: InLabeled(%d,%q) = %v, want %v", trial, u, lab, gotIn, wantIn)
-				}
-				for i := range wantIn {
-					if int(gotIn[i]) != wantIn[i] {
-						t.Fatalf("trial %d: InLabeled(%d,%q) = %v, want %v", trial, u, lab, gotIn, wantIn)
-					}
+				wantIn := labeledNeighbours(log, u, lab, true)
+				if got := snap.InLabeled(u, l); !equalTargets(got, wantIn) {
+					t.Fatalf("trial %d: InLabeled(%d,%q) = %v, want %v", trial, u, lab, got, wantIn)
 				}
 				if snap.HasOutLabeled(u, l) != (len(wantOut) > 0) {
 					t.Fatalf("trial %d: HasOutLabeled(%d,%q) wrong", trial, u, lab)
 				}
 				for v := 0; v < nodes; v++ {
-					if snap.HasEdge(u, l, v) != g.HasEdgeIndex(u, lab, v) {
-						t.Fatalf("trial %d: HasEdge(%d,%q,%d) disagrees with index", trial, u, lab, v)
+					want := g.HasEdge(g.Node(u).ID, lab, g.Node(v).ID)
+					if snap.HasEdge(u, l, v) != want {
+						t.Fatalf("trial %d: HasEdge(%d,%q,%d) disagrees with the edge set", trial, u, lab, v)
 					}
 				}
 			}
 		}
-		// OutAll/InAll must match the flat adjacency (as target multisets in
-		// any order).
+		// EachSlot must list each row's labels ascending with the same
+		// neighbours as the labelled accessors, and OutAll/InAll/OutDegree
+		// must count every incident edge once.
 		for u := 0; u < nodes; u++ {
-			if len(snap.OutAll(u)) != len(g.Out(u)) {
-				t.Fatalf("trial %d: OutAll(%d) has %d targets, Out %d", trial, u, len(snap.OutAll(u)), len(g.Out(u)))
+			for _, in := range []bool{false, true} {
+				prev, count := NoLabel, 0
+				snap.EachSlot(u, in, func(l Label, nbrs []int32) {
+					if l <= prev {
+						t.Fatalf("trial %d: EachSlot(%d, %v) labels not ascending", trial, u, in)
+					}
+					prev = l
+					if want := labeledNeighbours(log, u, snap.LabelName(l), in); !equalTargets(nbrs, want) {
+						t.Fatalf("trial %d: EachSlot(%d, %v) label %q = %v, want %v",
+							trial, u, in, snap.LabelName(l), nbrs, want)
+					}
+					count += len(nbrs)
+				})
+				all := snap.OutAll(u)
+				if in {
+					all = snap.InAll(u)
+				}
+				if len(all) != count {
+					t.Fatalf("trial %d: node %d (in=%v) has %d targets, slots cover %d", trial, u, in, len(all), count)
+				}
 			}
-			if len(snap.InAll(u)) != len(g.In(u)) {
-				t.Fatalf("trial %d: InAll(%d) has %d targets, In %d", trial, u, len(snap.InAll(u)), len(g.In(u)))
+			outDeg := 0
+			for _, e := range log {
+				if e.from == u {
+					outDeg++
+				}
 			}
-			if snap.OutDegree(u) != len(g.Out(u)) {
-				t.Fatalf("trial %d: OutDegree(%d) wrong", trial, u)
+			if snap.OutDegree(u) != outDeg {
+				t.Fatalf("trial %d: OutDegree(%d) = %d, want %d", trial, u, snap.OutDegree(u), outDeg)
 			}
 		}
 	}
@@ -142,14 +221,14 @@ func TestFreezeCaching(t *testing.T) {
 	if g.Freeze() != s1 {
 		t.Fatal("Freeze must return the cached snapshot while the graph is unchanged")
 	}
-	if g.Snapshot() != s1 {
-		t.Fatal("Snapshot must return the cached snapshot while valid")
+	if cachedSnapshot(g) != s1 {
+		t.Fatal("the cached snapshot must return the cached snapshot while valid")
 	}
 
 	// Value-only mutation: cache invalid, rebuild shares the CSR arrays.
 	g.SetValue(0, V("9"))
-	if g.Snapshot() != nil {
-		t.Fatal("Snapshot must be nil after SetValue")
+	if cachedSnapshot(g) != nil {
+		t.Fatal("the cached snapshot must be nil after SetValue")
 	}
 	s2 := g.Freeze()
 	if s2 == s1 {
@@ -164,8 +243,8 @@ func TestFreezeCaching(t *testing.T) {
 
 	// Topology mutation: rebuild (incremental or full) must see the edge.
 	g.MustAddEdge("b", "e", "a")
-	if g.Snapshot() != nil {
-		t.Fatal("Snapshot must be nil after AddEdge")
+	if cachedSnapshot(g) != nil {
+		t.Fatal("the cached snapshot must be nil after AddEdge")
 	}
 	s3 := g.Freeze()
 	if l, ok := s3.LabelID("e"); !ok || s3.NumLabelEdges(l) != 2 {
@@ -181,43 +260,60 @@ func TestFreezeZeroGraph(t *testing.T) {
 		t.Fatal("zero graph must freeze to an empty snapshot")
 	}
 	g.MustAddNode("x", V("1"))
-	if g.Snapshot() != nil {
+	if cachedSnapshot(&g) != nil {
 		t.Fatal("mutation after freeze must invalidate")
 	}
 }
 
-// TestSnapshotLargeDegree exercises the sort.SliceStable fallback in the
-// CSR builder (node with more than 128 out-edges).
+// TestSnapshotLargeDegree exercises the sort.SliceStable fallback of the
+// delta merge (a row gaining more than 128 half-edges in one burst) and
+// checks that both the delta and the full build keep insertion order
+// within each label slot.
 func TestSnapshotLargeDegree(t *testing.T) {
 	g := New()
 	g.MustAddNode("hub", V("h"))
+	for i := 0; i < 1000; i++ {
+		g.MustAddNode(NodeID(fmt.Sprintf("n%d", i)), V("v"))
+	}
+	g.Freeze()
 	labels := []string{"z", "y", "x", "w"}
+	want := map[string][]int{}
 	for i := 0; i < 200; i++ {
-		id := NodeID(fmt.Sprintf("n%d", i))
-		g.MustAddNode(id, V("v"))
-		g.MustAddEdge("hub", labels[i%len(labels)], id)
+		id := NodeID(fmt.Sprintf("n%d", 999-i))
+		lab := labels[i%len(labels)]
+		g.MustAddEdge("hub", lab, id)
+		to, _ := g.IndexOf(id)
+		want[lab] = append(want[lab], to)
 	}
-	snap := g.Freeze()
 	hub, _ := g.IndexOf("hub")
-	total := 0
-	for _, lab := range labels {
-		l, ok := snap.LabelID(lab)
-		if !ok {
-			t.Fatalf("label %q missing", lab)
-		}
-		got := snap.OutLabeled(hub, l)
-		want := g.OutEdges(hub, lab)
-		if len(got) != len(want) {
-			t.Fatalf("OutLabeled(hub, %q): %d targets, want %d", lab, len(got), len(want))
-		}
-		for i := range want {
-			if int(got[i]) != want[i] {
-				t.Fatalf("OutLabeled(hub, %q) order diverged at %d", lab, i)
+	delta := g.Freeze()
+	if _, d := g.SnapshotBuilds(); d != 1 {
+		t.Fatalf("the 200-edge burst must take the delta path (delta builds %d)", d)
+	}
+	for _, snap := range []*Snapshot{delta, g.FreezeFull()} {
+		total := 0
+		for _, lab := range labels {
+			l, ok := snap.LabelID(lab)
+			if !ok {
+				t.Fatalf("label %q missing", lab)
 			}
+			got := snap.OutLabeled(hub, l)
+			if !equalTargets(got, want[lab]) {
+				t.Fatalf("OutLabeled(hub, %q) = %v, want %v", lab, got, want[lab])
+			}
+			total += len(got)
 		}
-		total += len(got)
+		if total != 200 {
+			t.Fatalf("slots cover %d edges, want 200", total)
+		}
 	}
-	if total != 200 {
-		t.Fatalf("slots cover %d edges, want 200", total)
+}
+
+// cachedSnapshot returns the graph's cached snapshot if it is still
+// current, and nil otherwise; unlike Freeze it never builds.
+func cachedSnapshot(g *Graph) *Snapshot {
+	if s := g.snap.Load(); s != nil && s.topoVersion == g.topoVersion && s.valVersion == g.valVersion {
+		return s
 	}
+	return nil
 }

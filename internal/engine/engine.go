@@ -1,18 +1,17 @@
-// Package engine is the indexed, concurrent evaluation engine for
-// certain-answer computation. It executes the paper's tractable algorithms
-// (the Theorem 4 SQL-null procedure, the Theorem 5 least-informative
-// procedure, and the Proposition 5 choice search) on top of the per-label
-// adjacency indexes of internal/datagraph, sharding two independent
-// dimensions of work across a pool of GOMAXPROCS goroutines:
+// Package engine is the concurrent evaluation engine for certain-answer
+// computation. It executes the paper's tractable algorithms (the Theorem 4
+// SQL-null procedure, the Theorem 5 least-informative procedure, and the
+// Proposition 5 choice search) over the graph's frozen snapshot, sharding
+// two independent dimensions of work across a pool of GOMAXPROCS
+// goroutines:
 //
 //   - queries: each query in a batch is evaluated independently;
-//   - source-node frontiers: a query that can evaluate from a single start
-//     node (core.FromEvaluator — REE, REM and navigational RPQs all can) has
-//     its start frontier split into chunks, one chunk per work item.
-//
-// Start nodes that cannot begin a match are pruned before evaluation using
-// the queries' StartLabels metadata against the graph's per-label adjacency
-// index, which makes selective queries on large graphs nearly free.
+//   - source-node frontiers: a query with a snapshot kernel over a start
+//     range (core.RangeEvaluator — REE, REM and navigational RPQs all have
+//     one) has its start frontier split into chunks, one chunk per work
+//     item. The kernels prune start nodes that cannot begin a match
+//     themselves, which makes selective queries on large graphs nearly
+//     free.
 //
 // Output is deterministic: answers are set-valued and the merge is
 // order-insensitive, so the same inputs always produce the same Answers
@@ -51,34 +50,6 @@ func (o Options) chunk() int {
 		return o.ChunkSize
 	}
 	return 32
-}
-
-// frontierQuery is the optional metadata interface used to prune start
-// frontiers; ree.Query, rem.Query and core.NavQuery implement it.
-type frontierQuery interface {
-	StartLabels() ([]string, bool)
-	AcceptsEmptyPath() bool
-}
-
-// canSkipStart reports whether node u of g can be skipped as a start node
-// for q: only when q's start-label set is exhaustive, q cannot accept a
-// single-node path, and u has no out-edge carrying any start label. All
-// three checks are conservative, so skipping never loses answers.
-func canSkipStart(g *datagraph.Graph, q core.Query, u int) bool {
-	fq, ok := q.(frontierQuery)
-	if !ok {
-		return false
-	}
-	labels, exhaustive := fq.StartLabels()
-	if !exhaustive || fq.AcceptsEmptyPath() {
-		return false
-	}
-	for _, l := range labels {
-		if len(g.OutEdges(u, l)) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Eval computes the certain answers 2ⁿ_M(Q, Gs) (the Theorem 4 algorithm)
@@ -153,8 +124,7 @@ func CertainDataPathArbitrary(m *core.Mapping, gs *datagraph.Graph, q *ree.Query
 
 // EvalGraph evaluates one query over one graph with the start-node frontier
 // sharded across the worker pool. It is the parallel counterpart of
-// q.Eval(g, mode) and falls back to it when the query cannot evaluate from
-// a single start node.
+// q.Eval(g, mode) and falls back to it when the query has no range kernel.
 func EvalGraph(ctx context.Context, g *datagraph.Graph, q core.Query, mode datagraph.CompareMode, opts Options) (*datagraph.PairSet, error) {
 	sets, err := evalAll(ctx, g, []core.Query{q}, mode, opts)
 	if err != nil {
@@ -189,7 +159,7 @@ func captureEvalFunc(ctx context.Context, opts Options) (core.EvalFunc, *error) 
 
 // job is one unit of work: evaluate query qi on start nodes [lo, hi) of the
 // shared graph, or — when whole is set — run the query's monolithic Eval
-// (for queries that cannot evaluate from a single node).
+// (for queries without a range kernel).
 type job struct {
 	qi     int
 	lo, hi int
@@ -215,9 +185,7 @@ func evalAll(ctx context.Context, g *datagraph.Graph, queries []core.Query, mode
 	chunk := opts.chunk()
 	var jobs []job
 	for qi, q := range queries {
-		_, ranged := q.(core.RangeEvaluator)
-		_, fromable := q.(core.FromEvaluator)
-		if ranged || fromable {
+		if _, ranged := q.(core.RangeEvaluator); ranged {
 			for lo := 0; lo < n; lo += chunk {
 				hi := lo + chunk
 				if hi > n {
@@ -231,7 +199,6 @@ func evalAll(ctx context.Context, g *datagraph.Graph, queries []core.Query, mode
 	}
 
 	results := make([]*datagraph.PairSet, len(queries))
-	locks := make([]sync.Mutex, len(queries))
 	for i := range results {
 		results[i] = datagraph.NewPairSetSized(n)
 	}
@@ -243,14 +210,28 @@ func evalAll(ctx context.Context, g *datagraph.Graph, queries []core.Query, mode
 	if workers <= 1 {
 		// Sequential fast path: no goroutine or lock overhead.
 		for _, j := range jobs {
-			if err := ctx.Err(); err != nil {
-				return nil, core.Canceled(err)
+			if ctx.Err() != nil {
+				break
 			}
 			runJob(g, queries, mode, j, results[j.qi])
 		}
-		return results, nil
+	} else {
+		runPool(ctx, g, queries, mode, jobs, results, workers)
 	}
+	// A cancellation observed at any point — including during the last
+	// work item — discards the partial results.
+	if err := ctx.Err(); err != nil {
+		return nil, core.Canceled(err)
+	}
+	return results, nil
+}
 
+// runPool runs the work items on a pool of workers goroutines until they
+// are exhausted or ctx is cancelled.
+func runPool(ctx context.Context, g *datagraph.Graph, queries []core.Query, mode datagraph.CompareMode,
+	jobs []job, results []*datagraph.PairSet, workers int) {
+
+	locks := make([]sync.Mutex, len(queries))
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
@@ -290,10 +271,6 @@ func evalAll(ctx context.Context, g *datagraph.Graph, queries []core.Query, mode
 		}()
 	}
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, core.Canceled(err)
-	}
-	return results, nil
 }
 
 // runJob executes one work item, adding pairs into sink.
@@ -303,19 +280,7 @@ func runJob(g *datagraph.Graph, queries []core.Query, mode datagraph.CompareMode
 		q.Eval(g, mode).Each(func(p datagraph.Pair) { sink.AddPair(p) })
 		return
 	}
-	if re, ok := q.(core.RangeEvaluator); ok {
-		// Snapshot kernel: interned labels, pooled scratch reused across
-		// this worker's chunks, start pruning on interned start labels.
-		re.EvalRange(g, j.lo, j.hi, mode, sink.Add)
-		return
-	}
-	fe := q.(core.FromEvaluator)
-	for u := j.lo; u < j.hi; u++ {
-		if canSkipStart(g, q, u) {
-			continue
-		}
-		for _, v := range fe.EvalFrom(g, u, mode) {
-			sink.Add(u, v)
-		}
-	}
+	// Snapshot kernel: interned labels, pooled scratch reused across this
+	// worker's chunks, start pruning on interned start labels.
+	q.(core.RangeEvaluator).EvalRange(g, j.lo, j.hi, mode, sink.Add)
 }

@@ -18,7 +18,7 @@ func TestSharedSnapshotAcrossWorkers(t *testing.T) {
 	g := testGraph(23)
 	queries := testQueries(t)
 	snap := g.Freeze()
-	if snap == nil || g.Snapshot() != snap {
+	if snap == nil || g.Freeze() != snap {
 		t.Fatal("freeze did not cache the snapshot")
 	}
 
@@ -51,7 +51,7 @@ func TestSharedSnapshotAcrossWorkers(t *testing.T) {
 	for e := range errs {
 		t.Fatal(e)
 	}
-	if g.Snapshot() != snap {
+	if g.Freeze() != snap {
 		t.Fatal("evaluation must not invalidate or replace the shared snapshot")
 	}
 }

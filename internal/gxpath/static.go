@@ -12,23 +12,35 @@ import (
 // search used to exercise the (undecidable in general) satisfiability
 // problem on small instances.
 
-// TreeChildren returns the children of node v in g viewed as a tree, sorted
-// by label. It errors if g is not a tree rooted at root: every non-root node
-// must have exactly one incoming edge, the root none, and all nodes must be
-// reachable from the root.
-func treeChildren(g *datagraph.Graph, v int) []datagraph.HalfEdge {
-	out := append([]datagraph.HalfEdge(nil), g.Out(v)...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
+// child is a tree edge seen from its parent.
+type child struct {
+	label string
+	to    int
+}
+
+// treeChildren returns the children of node v in g viewed as a tree, sorted
+// by label; children under one label keep their insertion order.
+func treeChildren(snap *datagraph.Snapshot, v int) []child {
+	var out []child
+	snap.EachSlot(v, false, func(l datagraph.Label, succ []int32) {
+		for _, to := range succ {
+			out = append(out, child{label: snap.LabelName(l), to: int(to)})
+		}
+	})
+	sort.SliceStable(out, func(i, j int) bool { return out[i].label < out[j].label })
 	return out
 }
 
-// ValidateTree checks that g is a tree rooted at root.
+// ValidateTree checks that g is a tree rooted at root: every non-root node
+// must have exactly one incoming edge, the root none, and all nodes must be
+// reachable from the root.
 func ValidateTree(g *datagraph.Graph, root datagraph.NodeID) error {
 	ri, ok := g.IndexOf(root)
 	if !ok {
 		return fmt.Errorf("gxpath: root %q not in graph", string(root))
 	}
-	if len(g.In(ri)) != 0 {
+	snap := g.Freeze()
+	if len(snap.InAll(ri)) != 0 {
 		return fmt.Errorf("gxpath: root %q has incoming edges", string(root))
 	}
 	seen := make([]bool, g.NumNodes())
@@ -38,16 +50,16 @@ func ValidateTree(g *datagraph.Graph, root datagraph.NodeID) error {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, he := range g.Out(v) {
-			if len(g.In(he.To)) != 1 {
-				return fmt.Errorf("gxpath: node %q has %d parents", string(g.Node(he.To).ID), len(g.In(he.To)))
+		for _, c := range treeChildren(snap, v) {
+			if parents := len(snap.InAll(c.to)); parents != 1 {
+				return fmt.Errorf("gxpath: node %q has %d parents", string(g.Node(c.to).ID), parents)
 			}
-			if seen[he.To] {
-				return fmt.Errorf("gxpath: node %q reached twice (cycle or dag)", string(g.Node(he.To).ID))
+			if seen[c.to] {
+				return fmt.Errorf("gxpath: node %q reached twice (cycle or dag)", string(g.Node(c.to).ID))
 			}
-			seen[he.To] = true
+			seen[c.to] = true
 			count++
-			stack = append(stack, he.To)
+			stack = append(stack, c.to)
 		}
 	}
 	if count != g.NumNodes() {
@@ -59,16 +71,16 @@ func ValidateTree(g *datagraph.Graph, root datagraph.NodeID) error {
 // HasNonRepeatingProperty reports whether no label occurs on two different
 // out-edges of the same node (Lemma 2's non-repeating property for trees).
 func HasNonRepeatingProperty(g *datagraph.Graph) bool {
-	for v := 0; v < g.NumNodes(); v++ {
-		seen := make(map[string]struct{})
-		for _, he := range g.Out(v) {
-			if _, dup := seen[he.Label]; dup {
-				return false
+	snap := g.Freeze()
+	ok := true
+	for v := 0; v < g.NumNodes() && ok; v++ {
+		snap.EachSlot(v, false, func(_ datagraph.Label, succ []int32) {
+			if len(succ) > 1 {
+				ok = false
 			}
-			seen[he.Label] = struct{}{}
-		}
+		})
 	}
-	return true
+	return ok
 }
 
 // PhiG builds the Theorem 7 formula ϕ_G for the tree g rooted at root: a
@@ -80,19 +92,19 @@ func PhiG(g *datagraph.Graph, root datagraph.NodeID) (NodeExpr, error) {
 		return nil, err
 	}
 	ri, _ := g.IndexOf(root)
-	return phiG(g, ri), nil
+	return phiG(g.Freeze(), ri), nil
 }
 
-func phiG(g *datagraph.Graph, v int) NodeExpr {
-	children := treeChildren(g, v)
+func phiG(snap *datagraph.Snapshot, v int) NodeExpr {
+	children := treeChildren(snap, v)
 	if len(children) == 0 {
 		return NExists{Path: PEps{}}
 	}
 	conjuncts := make([]NodeExpr, len(children))
-	for i, he := range children {
+	for i, c := range children {
 		conjuncts[i] = NExists{Path: PConcat{
-			L: PLabel{Label: he.Label},
-			R: PTest{Cond: phiG(g, he.To)},
+			L: PLabel{Label: c.label},
+			R: PTest{Cond: phiG(snap, c.to)},
 		}}
 	}
 	return AndAll(conjuncts...)
@@ -134,18 +146,16 @@ func PhiDelta(g *datagraph.Graph, root datagraph.NodeID) (NodeExpr, error) {
 // rootWords returns for each node index the label word of the unique path
 // from the root.
 func rootWords(g *datagraph.Graph, root int) [][]string {
+	snap := g.Freeze()
 	words := make([][]string, g.NumNodes())
 	words[root] = []string{}
 	stack := []int{root}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, he := range g.Out(v) {
-			w := make([]string, len(words[v])+1)
-			copy(w, words[v])
-			w[len(words[v])] = he.Label
-			words[he.To] = w
-			stack = append(stack, he.To)
+		for _, c := range treeChildren(snap, v) {
+			words[c.to] = append(append([]string(nil), words[v]...), c.label)
+			stack = append(stack, c.to)
 		}
 	}
 	return words

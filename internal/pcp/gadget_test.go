@@ -186,24 +186,24 @@ func TestCorruptedVerificationValues(t *testing.T) {
 	}
 	// Find two verification nodes (after the v edge) and duplicate a value.
 	var verNodes []datagraph.NodeID
+	snap := wit.Freeze()
 	for _, e := range wit.Edges() {
 		if e.Label == LabelVerify {
 			// walk forward from e.To collecting letter targets
 			cur, _ := wit.IndexOf(e.To)
 			verNodes = append(verNodes, e.To)
 			for {
-				found := false
-				for _, he := range wit.Out(cur) {
-					if he.Label == "a" || he.Label == "b" {
-						verNodes = append(verNodes, wit.Node(he.To).ID)
-						cur = he.To
-						found = true
-						break
+				next := -1
+				snap.EachSlot(cur, false, func(l datagraph.Label, succ []int32) {
+					if name := snap.LabelName(l); next < 0 && (name == "a" || name == "b") {
+						next = int(succ[0])
 					}
-				}
-				if !found {
+				})
+				if next < 0 {
 					break
 				}
+				verNodes = append(verNodes, wit.Node(next).ID)
+				cur = next
 			}
 		}
 	}

@@ -118,13 +118,14 @@ type Automaton struct {
 	// by Finish so evaluation never mutates the automaton (workers share it).
 	fast int8
 
-	// Start-frontier metadata, precomputed by Finish (see StartLabels).
+	// Start-frontier metadata, precomputed by Finish (see
+	// computeStartInfo); the graph kernel prunes start nodes with it.
 	startLabels []string
 	startAny    bool
 	emptyOK     bool
 
 	// progCache holds the automaton lowered onto the most recent graph
-	// snapshot (transition labels interned, dead transitions dropped); see
+	// topology (transition labels interned, dead transitions dropped); see
 	// snapshot.go.
 	progCache atomic.Pointer[prog]
 }
@@ -140,25 +141,12 @@ func (a *Automaton) fastOK() bool {
 	return a.fast == 1
 }
 
-// StartLabels returns a superset of the edge labels able to begin a
-// nonempty match, and whether that superset is exhaustive (it is not when
-// an any-label transition is ε-reachable from the start state). Frontier
-// schedulers use it to skip start nodes with no matching out-edge; because
-// it over-approximates (register conditions are ignored), skipping is
-// always sound.
-func (a *Automaton) StartLabels() (labels []string, exhaustive bool) {
-	return a.startLabels, !a.startAny
-}
-
-// AcceptsEmptyPath reports whether the automaton may accept a single-node
-// data path — an over-approximation by ε-reachability of the accept state,
-// ignoring register conditions. When it returns false, no start node can be
-// its own answer, so frontier pruning by StartLabels is complete.
-func (a *Automaton) AcceptsEmptyPath() bool { return a.emptyOK }
-
 // computeStartInfo fills the start-frontier metadata: walk ε-transitions
 // from the start state (ignoring conditions — an over-approximation) and
-// collect the consuming transitions encountered.
+// collect the consuming transitions encountered. startLabels is then a
+// superset of the labels able to begin a nonempty match (exhaustive unless
+// startAny), and emptyOK over-approximates acceptance of a single-node
+// path, so skipping a start node with none of the labels is always sound.
 func (a *Automaton) computeStartInfo() {
 	seen := make([]bool, a.NumStates)
 	stack := []int{a.Start}
@@ -367,95 +355,22 @@ func (a *Automaton) MatchDataPath(w datagraph.DataPath, mode datagraph.CompareMo
 // data path accepted by the automaton. This is the graph-product evaluation
 // underlying the NLogspace data-complexity claims (Theorems 3 and 5): the
 // configuration space is nodes × states × register contents, with register
-// contents drawn from the graph's values.
+// contents drawn from the graph's values. It freezes the graph (cheap when
+// already frozen) and runs the snapshot kernel.
 func (a *Automaton) EvalFrom(g *datagraph.Graph, u int, mode datagraph.CompareMode) []int {
-	if a.fastOK() {
-		// Use the interned snapshot kernel when the graph is frozen; never
-		// trigger a freeze here, since EvalFrom is called inside mutation
-		// loops (the SetValue specialization search).
-		if snap := g.Snapshot(); snap != nil {
-			p := a.program(snap)
-			sc := p.getScratch()
-			var out []int
-			a.evalFromProg(p, u, mode, sc, func(v int) { out = append(out, v) })
-			p.scratch.Put(sc)
-			return out
-		}
-		return a.evalFromFast(g, u, mode)
-	}
-	start := config{
-		state: a.Start,
-		pos:   u,
-		regs:  make([]datagraph.Value, a.NumRegs),
-		set:   make([]bool, a.NumRegs),
-	}
-	visited := map[string]struct{}{start.key(): {}}
-	queue := []config{start}
-	accepted := make(map[int]struct{})
-	for len(queue) > 0 {
-		c := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if c.state == a.Accept {
-			accepted[c.pos] = struct{}{}
-		}
-		cur := g.Value(c.pos)
-		for _, t := range a.Trans[c.state] {
-			if t.Eps {
-				if !t.Cond.Eval(c.regs, c.set, cur, mode) {
-					continue
-				}
-				next := applyStore(config{state: t.To, pos: c.pos, regs: c.regs, set: c.set}, t.Store, cur)
-				k := next.key()
-				if _, dup := visited[k]; !dup {
-					visited[k] = struct{}{}
-					queue = append(queue, next)
-				}
-				continue
-			}
-			step := func(to int) {
-				nv := g.Value(to)
-				if !t.Cond.Eval(c.regs, c.set, nv, mode) {
-					return
-				}
-				next := applyStore(config{state: t.To, pos: to, regs: c.regs, set: c.set}, t.Store, nv)
-				k := next.key()
-				if _, dup := visited[k]; !dup {
-					visited[k] = struct{}{}
-					queue = append(queue, next)
-				}
-			}
-			if t.AnyLabel {
-				for _, he := range g.Out(c.pos) {
-					step(he.To)
-				}
-			} else {
-				for _, to := range g.OutEdges(c.pos, t.Label) {
-					step(to)
-				}
-			}
-		}
-	}
-	out := make([]int, 0, len(accepted))
-	for v := range accepted {
-		out = append(out, v)
-	}
+	snap := g.Freeze()
+	p := a.program(snap)
+	sc := p.getScratch()
+	var out []int
+	a.evalFrom(p, snap, u, mode, sc, func(v int) { out = append(out, v) })
+	p.scratch.Put(sc)
 	return out
 }
 
 // Eval returns all pairs (u, v) such that some path from u to v matches.
-// The graph is frozen once and every start node is evaluated through the
-// interned snapshot kernel with shared scratch.
 func (a *Automaton) Eval(g *datagraph.Graph, mode datagraph.CompareMode) *datagraph.PairSet {
 	n := g.NumNodes()
 	out := datagraph.NewPairSetSized(n)
-	if a.fastOK() {
-		a.EvalRange(g, 0, n, mode, out.Add)
-		return out
-	}
-	for u := 0; u < n; u++ {
-		for _, v := range a.EvalFrom(g, u, mode) {
-			out.Add(u, v)
-		}
-	}
+	a.EvalRange(g, 0, n, mode, out.Add)
 	return out
 }

@@ -72,14 +72,6 @@ func (q *Query) EvalRange(g *datagraph.Graph, lo, hi int, mode datagraph.Compare
 	q.auto.EvalRange(g, lo, hi, mode, emit)
 }
 
-// StartLabels returns a superset of the labels able to begin a nonempty
-// match and whether it is exhaustive; see ra.Automaton.StartLabels.
-func (q *Query) StartLabels() ([]string, bool) { return q.auto.StartLabels() }
-
-// AcceptsEmptyPath reports whether the query may accept a single-node path;
-// see ra.Automaton.AcceptsEmptyPath.
-func (q *Query) AcceptsEmptyPath() bool { return q.auto.AcceptsEmptyPath() }
-
 type frag struct{ start, accept int }
 
 // compile translates the expression into automaton fragments. The register

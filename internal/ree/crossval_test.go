@@ -29,9 +29,28 @@ func randomGraph(seed int64, n, e int) *datagraph.Graph {
 	return g
 }
 
+// halfEdge is one out-edge in the oracles' adjacency lists.
+type halfEdge struct {
+	label string
+	to    int
+}
+
+// edgeLists returns every node's out-edges, built from g.Edges() so the
+// oracles never read the snapshot the evaluator uses.
+func edgeLists(g *datagraph.Graph) [][]halfEdge {
+	out := make([][]halfEdge, g.NumNodes())
+	for _, e := range g.Edges() {
+		from, _ := g.IndexOf(e.From)
+		to, _ := g.IndexOf(e.To)
+		out[from] = append(out[from], halfEdge{label: e.Label, to: to})
+	}
+	return out
+}
+
 // enumerate finds all pairs connected by a path of length ≤ maxLen whose
 // data path the direct matcher accepts.
 func enumerate(g *datagraph.Graph, e Expr, maxLen int) *datagraph.PairSet {
+	adj := edgeLists(g)
 	out := datagraph.NewPairSet()
 	var walk func(start int, nodes []int, labels []string)
 	walk = func(start int, nodes []int, labels []string) {
@@ -46,9 +65,8 @@ func enumerate(g *datagraph.Graph, e Expr, maxLen int) *datagraph.PairSet {
 		if len(labels) == maxLen {
 			return
 		}
-		cur := nodes[len(nodes)-1]
-		for _, he := range g.Out(cur) {
-			walk(start, append(nodes, he.To), append(labels, he.Label))
+		for _, he := range adj[nodes[len(nodes)-1]] {
+			walk(start, append(nodes, he.to), append(labels, he.label))
 		}
 	}
 	for u := 0; u < g.NumNodes(); u++ {
@@ -104,6 +122,7 @@ func TestGraphEvalSQLNullCrossValidation(t *testing.T) {
 		q := New(e)
 		got := q.Eval(g, datagraph.SQLNulls)
 		// Rebuild naive with SQL mode.
+		adj := edgeLists(g)
 		naive := datagraph.NewPairSet()
 		var walk func(start int, nodes []int, labels []string)
 		walk = func(start int, nodes []int, labels []string) {
@@ -117,8 +136,8 @@ func TestGraphEvalSQLNullCrossValidation(t *testing.T) {
 			if len(labels) == 3 {
 				return
 			}
-			for _, he := range g.Out(nodes[len(nodes)-1]) {
-				walk(start, append(nodes, he.To), append(labels, he.Label))
+			for _, he := range adj[nodes[len(nodes)-1]] {
+				walk(start, append(nodes, he.to), append(labels, he.label))
 			}
 		}
 		for u := 0; u < g.NumNodes(); u++ {

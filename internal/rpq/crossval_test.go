@@ -11,9 +11,84 @@ import (
 
 // Cross-validation of the product-automaton evaluator against a naive
 // bounded path enumerator on random graphs: for every pair the evaluator
-// reports, the enumerator finds a matching path (soundness), and every
+// reports, a witness search finds a matching path (soundness), and every
 // enumerated matching path's pair is reported (completeness up to the
-// enumeration bound).
+// enumeration bound). Both oracles read the graph through g.Edges(), never
+// through the snapshot the evaluator uses.
+
+// halfEdge is one out-edge in the oracles' adjacency lists.
+type halfEdge struct {
+	label string
+	to    int
+}
+
+// edgeLists returns every node's out-edges, built from g.Edges().
+func edgeLists(g *datagraph.Graph) [][]halfEdge {
+	out := make([][]halfEdge, g.NumNodes())
+	for _, e := range g.Edges() {
+		from, _ := g.IndexOf(e.From)
+		to, _ := g.IndexOf(e.To)
+		out[from] = append(out[from], halfEdge{label: e.Label, to: to})
+	}
+	return out
+}
+
+// witness returns a shortest path from u to v whose label the query
+// accepts, if one exists: BFS over the product of the graph with the
+// query NFA, remembering each product state's parent.
+func witness(q *Query, g *datagraph.Graph, u, v int) (datagraph.Path, bool) {
+	adj := edgeLists(g)
+	nfa := q.nfa
+	numStates := nfa.NumStates
+	type prev struct {
+		id    int // predecessor product-state id, -1 for roots
+		label string
+	}
+	parents := make(map[int]prev)
+	var queue []int
+	push := func(node, state, from int, label string) {
+		id := node*numStates + state
+		if _, dup := parents[id]; !dup {
+			parents[id] = prev{id: from, label: label}
+			queue = append(queue, id)
+		}
+	}
+	for _, s := range nfa.Closure(nfa.Start) {
+		push(u, s, -1, "")
+	}
+	// FIFO order makes the witness shortest.
+	for i := 0; i < len(queue); i++ {
+		id := queue[i]
+		node, state := id/numStates, id%numStates
+		if node == v && state == nfa.Accept {
+			// Every non-root parent edge is one graph edge, so the chain of
+			// parents spells the path in reverse.
+			var nodes []int
+			var labels []string
+			for cur := id; ; {
+				nodes = append([]int{cur / numStates}, nodes...)
+				p := parents[cur]
+				if p.id == -1 {
+					break
+				}
+				labels = append([]string{p.label}, labels...)
+				cur = p.id
+			}
+			return datagraph.Path{Nodes: nodes, Labels: labels}, true
+		}
+		for _, step := range nfa.Steps[state] {
+			for _, he := range adj[node] {
+				if !step.AnyLabel && he.label != step.Label {
+					continue
+				}
+				for _, c := range nfa.Closure(step.To) {
+					push(he.to, c, id, he.label)
+				}
+			}
+		}
+	}
+	return datagraph.Path{}, false
+}
 
 func randomGraph(seed int64, n, e int) *datagraph.Graph {
 	rng := rand.New(rand.NewSource(seed))
@@ -34,6 +109,7 @@ func randomGraph(seed int64, n, e int) *datagraph.Graph {
 // enumeratePairs finds all pairs connected by a path of length ≤ maxLen
 // whose label the NFA accepts.
 func enumeratePairs(g *datagraph.Graph, nfa *rex.NFA, maxLen int) *datagraph.PairSet {
+	adj := edgeLists(g)
 	out := datagraph.NewPairSet()
 	var walk func(start, cur int, word []string)
 	walk = func(start, cur int, word []string) {
@@ -43,8 +119,8 @@ func enumeratePairs(g *datagraph.Graph, nfa *rex.NFA, maxLen int) *datagraph.Pai
 		if len(word) == maxLen {
 			return
 		}
-		for _, he := range g.Out(cur) {
-			walk(start, he.To, append(word, he.Label))
+		for _, he := range adj[cur] {
+			walk(start, he.to, append(word, he.label))
 		}
 	}
 	for u := 0; u < g.NumNodes(); u++ {
@@ -71,7 +147,7 @@ func TestEvalCrossValidation(t *testing.T) {
 			// is accepted.
 			ok := true
 			got.Each(func(p datagraph.Pair) {
-				path, found := q.Witness(g, p.From, p.To)
+				path, found := witness(q, g, p.From, p.To)
 				if !found {
 					ok = false
 					return

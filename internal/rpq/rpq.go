@@ -27,12 +27,15 @@ type Query struct {
 	word []string // non-nil iff the expression denotes a single word
 	// kind caches the structural classification used by mapping analysis.
 	kind Kind
-	// Start-frontier metadata, computed once by New (see StartLabels).
+	// Start-frontier metadata, computed once by New: the labels able to
+	// begin a nonempty match (exhaustive unless an any-label step is
+	// reachable from the start state) and whether ε ∈ L(e). The kernel
+	// skips start nodes with no out-edge carrying a start label.
 	startLabels []string
 	startAny    bool
 	emptyOK     bool
 
-	// progCache holds the NFA lowered onto the most recent graph snapshot
+	// progCache holds the NFA lowered onto the most recent graph topology
 	// (step labels interned, dead steps dropped); see snapshot.go.
 	progCache atomic.Pointer[snapProg]
 }
@@ -99,16 +102,6 @@ func New(e rex.Regex) *Query {
 	return q
 }
 
-// StartLabels returns the set of labels able to begin a nonempty match and
-// whether the set is exhaustive (false when an any-label step is reachable
-// from the start state). Frontier schedulers use it with the graph's
-// per-label adjacency index to skip start nodes that cannot match.
-func (q *Query) StartLabels() ([]string, bool) { return q.startLabels, !q.startAny }
-
-// AcceptsEmptyPath reports whether ε ∈ L(e), i.e. every node matches
-// itself. When false, frontier pruning by StartLabels is complete.
-func (q *Query) AcceptsEmptyPath() bool { return q.emptyOK }
-
 // Parse compiles the rex concrete syntax into an RPQ.
 func Parse(s string) (*Query, error) {
 	e, err := rex.Parse(s)
@@ -164,182 +157,14 @@ func (q *Query) Eval(g *datagraph.Graph) *datagraph.PairSet {
 }
 
 // EvalFrom returns the nodes v such that (u, v) ∈ e(G), by BFS over the
-// product of G with the query NFA. When the graph is frozen it uses the
-// interned snapshot kernel; it never triggers a freeze itself.
+// product of G with the query NFA. It freezes the graph (cheap when already
+// frozen) and runs the snapshot kernel.
 func (q *Query) EvalFrom(g *datagraph.Graph, u int) []int {
-	if snap := g.Snapshot(); snap != nil {
-		p := q.program(snap)
-		sc := p.getScratch()
-		var out []int
-		q.evalFromSnap(p, u, sc, func(v int) { out = append(out, v) })
-		p.scratch.Put(sc)
-		return out
-	}
-	if q.kind == KindReachability {
-		return reachableFrom(g, u)
-	}
-	if q.word != nil {
-		return wordTargets(g, u, q.word)
-	}
-	return q.productFrom(g, u)
-}
-
-func (q *Query) productFrom(g *datagraph.Graph, u int) []int {
-	numStates := q.nfa.NumStates
-	visited := make([]bool, g.NumNodes()*numStates)
-	var queue []int // encoded node*numStates+state
-	push := func(node, state int) {
-		id := node*numStates + state
-		if !visited[id] {
-			visited[id] = true
-			queue = append(queue, id)
-		}
-	}
-	for _, s := range q.nfa.Closure(q.nfa.Start) {
-		push(u, s)
-	}
-	var result []int
-	seenResult := make(map[int]struct{})
-	for len(queue) > 0 {
-		id := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		node, state := id/numStates, id%numStates
-		if state == q.nfa.Accept {
-			if _, dup := seenResult[node]; !dup {
-				seenResult[node] = struct{}{}
-				result = append(result, node)
-			}
-		}
-		// Iterate the NFA steps first so concrete-label steps can use the
-		// per-label adjacency index instead of scanning every out-edge.
-		for _, step := range q.nfa.Steps[state] {
-			if step.AnyLabel {
-				for _, he := range g.Out(node) {
-					for _, c := range q.nfa.Closure(step.To) {
-						push(he.To, c)
-					}
-				}
-				continue
-			}
-			for _, to := range g.OutEdges(node, step.Label) {
-				for _, c := range q.nfa.Closure(step.To) {
-					push(to, c)
-				}
-			}
-		}
-	}
-	return result
-}
-
-// wordTargets walks the fixed word w level by level.
-func wordTargets(g *datagraph.Graph, u int, word []string) []int {
-	frontier := map[int]struct{}{u: {}}
-	for _, label := range word {
-		next := make(map[int]struct{})
-		for node := range frontier {
-			for _, to := range g.OutEdges(node, label) {
-				next[to] = struct{}{}
-			}
-		}
-		if len(next) == 0 {
-			return nil
-		}
-		frontier = next
-	}
-	out := make([]int, 0, len(frontier))
-	for node := range frontier {
-		out = append(out, node)
-	}
-	return out
-}
-
-// reachableFrom returns every node reachable from u by any path (including
-// u itself via the empty path, since ε ∈ Σ*).
-func reachableFrom(g *datagraph.Graph, u int) []int {
-	seen := make([]bool, g.NumNodes())
-	seen[u] = true
-	stack := []int{u}
+	snap := g.Freeze()
+	p := q.program(snap)
+	sc := p.getScratch()
 	var out []int
-	for len(stack) > 0 {
-		node := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		out = append(out, node)
-		for _, he := range g.Out(node) {
-			if !seen[he.To] {
-				seen[he.To] = true
-				stack = append(stack, he.To)
-			}
-		}
-	}
+	q.evalFromSnap(p, snap, u, sc, func(v int) { out = append(out, v) })
+	p.scratch.Put(sc)
 	return out
-}
-
-// Witness returns a path from u to v whose label is accepted by the query,
-// if one exists. It is used by solution builders that must materialise the
-// paths promised by mapping rules, and by tests. The returned path is
-// shortest in the number of edges.
-func (q *Query) Witness(g *datagraph.Graph, u, v int) (datagraph.Path, bool) {
-	numStates := q.nfa.NumStates
-	type prev struct {
-		id    int // predecessor product-state id, -1 for roots
-		label string
-	}
-	parents := make(map[int]prev)
-	var queue []int
-	push := func(node, state, from int, label string) {
-		id := node*numStates + state
-		if _, dup := parents[id]; !dup {
-			parents[id] = prev{id: from, label: label}
-			queue = append(queue, id)
-		}
-	}
-	for _, s := range q.nfa.Closure(q.nfa.Start) {
-		push(u, s, -1, "")
-	}
-	// BFS (queue processed in FIFO order) so the witness is shortest.
-	for i := 0; i < len(queue); i++ {
-		id := queue[i]
-		node, state := id/numStates, id%numStates
-		if node == v && state == q.nfa.Accept {
-			// Every non-root parent edge corresponds to one graph edge, so
-			// the chain of parents spells the path in reverse.
-			var revNodes []int
-			var revLabels []string
-			for cur := id; ; {
-				revNodes = append(revNodes, cur/numStates)
-				p := parents[cur]
-				if p.id == -1 {
-					break
-				}
-				revLabels = append(revLabels, p.label)
-				cur = p.id
-			}
-			n, m := len(revNodes), len(revLabels)
-			nodes := make([]int, n)
-			labels := make([]string, m)
-			for i, x := range revNodes {
-				nodes[n-1-i] = x
-			}
-			for i, l := range revLabels {
-				labels[m-1-i] = l
-			}
-			return datagraph.Path{Nodes: nodes, Labels: labels}, true
-		}
-		for _, step := range q.nfa.Steps[state] {
-			if step.AnyLabel {
-				for _, he := range g.Out(node) {
-					for _, c := range q.nfa.Closure(step.To) {
-						push(he.To, c, id, he.Label)
-					}
-				}
-				continue
-			}
-			for _, to := range g.OutEdges(node, step.Label) {
-				for _, c := range q.nfa.Closure(step.To) {
-					push(to, c, id, step.Label)
-				}
-			}
-		}
-	}
-	return datagraph.Path{}, false
 }

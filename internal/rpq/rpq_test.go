@@ -168,7 +168,7 @@ func TestWitness(t *testing.T) {
 	// bob -knows-> carl -knows-> ann -likes-> carl is the shortest witness
 	// from bob? Check from ann to carl: ann knows bob knows carl knows ann
 	// likes carl (length 4) — but also shorter via ... knows+ needs ≥1 knows.
-	p, ok := q.Witness(g, ai, ci)
+	p, ok := witness(q, g, ai, ci)
 	if !ok {
 		t.Fatal("witness must exist")
 	}
@@ -184,7 +184,7 @@ func TestWitness(t *testing.T) {
 	}
 	// No witness when none exists.
 	q2 := MustParse("likes likes")
-	if _, ok := q2.Witness(g, ai, ci); ok {
+	if _, ok := witness(q2, g, ai, ci); ok {
 		t.Fatal("likes·likes has no witness here")
 	}
 }
@@ -203,7 +203,7 @@ func TestWitnessShortest(t *testing.T) {
 	q := MustParse("a+ b")
 	i0, _ := g.IndexOf("n0")
 	i4, _ := g.IndexOf("n4")
-	p, ok := q.Witness(g, i0, i4)
+	p, ok := witness(q, g, i0, i4)
 	if !ok {
 		t.Fatal("no witness")
 	}

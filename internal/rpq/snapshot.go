@@ -6,19 +6,21 @@ import (
 	"repro/internal/datagraph"
 )
 
-// This file is the snapshot evaluation kernel for navigational RPQs: the
-// query NFA lowered onto a graph snapshot's label interner (steps on labels
-// absent from the graph dropped), evaluated by epoch-stamped product BFS
-// over scratch that outlives a single call.
+// This file is the evaluation kernel for navigational RPQs: the query NFA
+// lowered onto a graph snapshot's label interner (steps on labels absent
+// from the graph dropped), evaluated by epoch-stamped product BFS over
+// scratch that outlives a single call.
 
-// snapProg is the NFA lowered onto one snapshot.
+// snapProg is the NFA lowered onto one graph topology. It holds no
+// snapshot: every snapshot with the same TopoKey shares its label ids, so
+// a value-only refreeze reuses the program and its scratch pool.
 type snapProg struct {
-	snap        *datagraph.Snapshot
+	topo        datagraph.TopoKey
 	steps       [][]snapStep
 	word        []datagraph.Label // interned word for word RPQs
 	wordDead    bool              // a word label is absent: no nonempty match exists
 	startLabels []datagraph.Label
-	// scratch pools kernel scratch sized for snap. Each engine worker
+	// scratch pools kernel scratch sized for the topology. Each engine worker
 	// takes one per chunk and puts it back, so a worker keeps reusing the
 	// same O(V·states) arrays instead of allocating them per chunk.
 	scratch sync.Pool
@@ -30,15 +32,25 @@ type snapStep struct {
 	toClosure []int // ε-closure of the step target, precomputed at compile time
 }
 
-// program returns the query lowered onto snap, cached on the query. The
-// cache holds one entry: the snapshot evaluation last ran against.
+// program returns the query lowered onto snap's topology, cached on the
+// query. The cache holds one entry: the topology evaluation last ran
+// against.
 func (q *Query) program(snap *datagraph.Snapshot) *snapProg {
-	if p := q.progCache.Load(); p != nil && p.snap == snap {
+	topo := snap.TopoKey()
+	if p := q.progCache.Load(); p != nil && p.topo == topo {
 		return p
 	}
-	p := &snapProg{snap: snap, steps: make([][]snapStep, q.nfa.NumStates)}
-	p.scratch.New = func() any { return newRangeScratch(snap.NumNodes(), q.nfa.NumStates) }
+	p := &snapProg{topo: topo, steps: make([][]snapStep, q.nfa.NumStates)}
+	n := snap.NumNodes() // the closure must not pin this snapshot
+	p.scratch.New = func() any { return newRangeScratch(n, q.nfa.NumStates) }
+	// One backing array for every state's steps.
+	total := 0
+	for _, steps := range q.nfa.Steps {
+		total += len(steps)
+	}
+	all := make([]snapStep, 0, total)
 	for s, steps := range q.nfa.Steps {
+		lo := len(all)
 		for _, st := range steps {
 			ns := snapStep{any: st.AnyLabel, toClosure: q.nfa.Closure(st.To)}
 			if !st.AnyLabel {
@@ -48,8 +60,9 @@ func (q *Query) program(snap *datagraph.Snapshot) *snapProg {
 				}
 				ns.label = l
 			}
-			p.steps[s] = append(p.steps[s], ns)
+			all = append(all, ns)
 		}
+		p.steps[s] = all[lo:len(all):len(all)]
 	}
 	if q.word != nil {
 		p.word = make([]datagraph.Label, 0, len(q.word))
@@ -73,12 +86,12 @@ func (q *Query) program(snap *datagraph.Snapshot) *snapProg {
 
 // canSkipStart reports whether u cannot begin any nonempty match and the
 // query does not accept the empty path.
-func (q *Query) canSkipStart(p *snapProg, u int) bool {
+func (q *Query) canSkipStart(p *snapProg, snap *datagraph.Snapshot, u int) bool {
 	if q.startAny || q.emptyOK {
 		return false
 	}
 	for _, l := range p.startLabels {
-		if p.snap.HasOutLabeled(u, l) {
+		if snap.HasOutLabeled(u, l) {
 			return false
 		}
 	}
@@ -131,29 +144,28 @@ func (q *Query) EvalRange(g *datagraph.Graph, lo, hi int, emit func(u, v int)) {
 	p := q.program(snap)
 	sc := p.getScratch()
 	for u := lo; u < hi; u++ {
-		q.evalFromSnap(p, u, sc, func(v int) { emit(u, v) })
+		q.evalFromSnap(p, snap, u, sc, func(v int) { emit(u, v) })
 	}
 	p.scratch.Put(sc)
 }
 
 // evalFromSnap dispatches one start node to the appropriate kernel.
-func (q *Query) evalFromSnap(p *snapProg, u int, sc *rangeScratch, emit func(v int)) {
+func (q *Query) evalFromSnap(p *snapProg, snap *datagraph.Snapshot, u int, sc *rangeScratch, emit func(v int)) {
 	switch {
 	case q.kind == KindReachability:
-		q.reachableSnap(p, u, sc, emit)
+		reachableSnap(snap, u, sc, emit)
 	case q.word != nil:
-		q.wordSnap(p, u, sc, emit)
+		wordSnap(p, snap, u, sc, emit)
 	default:
-		if q.canSkipStart(p, u) {
+		if q.canSkipStart(p, snap, u) {
 			return
 		}
-		q.productSnap(p, u, sc, emit)
+		q.productSnap(p, snap, u, sc, emit)
 	}
 }
 
 // productSnap is the product-BFS kernel over interned labels.
-func (q *Query) productSnap(p *snapProg, u int, sc *rangeScratch, emit func(v int)) {
-	snap := p.snap
+func (q *Query) productSnap(p *snapProg, snap *datagraph.Snapshot, u int, sc *rangeScratch, emit func(v int)) {
 	numStates := q.nfa.NumStates
 	epoch := sc.nextEpoch()
 	sc.queue = sc.queue[:0]
@@ -193,7 +205,7 @@ func (q *Query) productSnap(p *snapProg, u int, sc *rangeScratch, emit func(v in
 }
 
 // wordSnap walks a fixed interned word level by level with slice frontiers.
-func (q *Query) wordSnap(p *snapProg, u int, sc *rangeScratch, emit func(v int)) {
+func wordSnap(p *snapProg, snap *datagraph.Snapshot, u int, sc *rangeScratch, emit func(v int)) {
 	if p.wordDead {
 		return
 	}
@@ -201,7 +213,6 @@ func (q *Query) wordSnap(p *snapProg, u int, sc *rangeScratch, emit func(v int))
 		emit(u)
 		return
 	}
-	snap := p.snap
 	sc.frontier = append(sc.frontier[:0], int32(u))
 	for _, l := range p.word {
 		epoch := sc.nextEpoch()
@@ -225,8 +236,7 @@ func (q *Query) wordSnap(p *snapProg, u int, sc *rangeScratch, emit func(v int))
 }
 
 // reachableSnap emits every node reachable from u (including u via ε).
-func (q *Query) reachableSnap(p *snapProg, u int, sc *rangeScratch, emit func(v int)) {
-	snap := p.snap
+func reachableSnap(snap *datagraph.Snapshot, u int, sc *rangeScratch, emit func(v int)) {
 	epoch := sc.nextEpoch()
 	sc.queue = append(sc.queue[:0], int32(u))
 	sc.seen[u] = epoch

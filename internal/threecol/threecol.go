@@ -196,11 +196,13 @@ func ProperColouringSolution(g Graph) (*datagraph.Graph, error) {
 	// Null n_u sits on the c·c detour of vertex u: find it via the c-edge
 	// out of x_u.
 	assign := make(map[datagraph.NodeID]datagraph.Value)
+	snap := u.Freeze()
+	c, _ := snap.LabelID("c")
 	for v := 0; v < g.N; v++ {
 		xi, _ := u.IndexOf(VertexID(v))
-		for _, to := range u.OutEdges(xi, "c") {
-			if u.Node(to).IsNullNode() {
-				assign[u.Node(to).ID] = palette[colors[v]]
+		for _, to := range snap.OutLabeled(xi, c) {
+			if n := u.Node(int(to)); n.IsNullNode() {
+				assign[n.ID] = palette[colors[v]]
 			}
 		}
 	}

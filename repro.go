@@ -207,7 +207,7 @@ func CertainDataPathArbitrary(m *Mapping, gs *Graph, q *REEQuery, from, to NodeI
 }
 
 // The concurrent evaluation engine (internal/engine): certain answers
-// computed over the per-label adjacency indexes by a pool of GOMAXPROCS
+// computed over the graph's frozen snapshot by a pool of GOMAXPROCS
 // workers, sharding independent queries and independent source-node
 // frontiers. Output is deterministic and identical to the sequential
 // algorithms.

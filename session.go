@@ -624,21 +624,3 @@ func (p *PreparedQuery) EvalRange(g *Graph, lo, hi int, mode CompareMode, emit f
 		}
 	})
 }
-
-// StartLabels forwards the frontier metadata when available; otherwise it
-// conservatively reports a non-exhaustive label set (no pruning).
-func (p *PreparedQuery) StartLabels() ([]string, bool) {
-	if fq, ok := p.q.(interface{ StartLabels() ([]string, bool) }); ok {
-		return fq.StartLabels()
-	}
-	return nil, false
-}
-
-// AcceptsEmptyPath forwards the frontier metadata when available; otherwise
-// it conservatively reports true (no pruning).
-func (p *PreparedQuery) AcceptsEmptyPath() bool {
-	if fq, ok := p.q.(interface{ AcceptsEmptyPath() bool }); ok {
-		return fq.AcceptsEmptyPath()
-	}
-	return true
-}

@@ -3,11 +3,15 @@ package repro
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datagraph"
+	"repro/internal/ree"
 	"repro/internal/workload"
 )
 
@@ -427,6 +431,102 @@ func TestSessionEvalSource(t *testing.T) {
 		want := q.Eval(gs, mode)
 		if got.Len() != want.Len() {
 			t.Fatalf("mode %v: engine source eval %d pairs, sequential %d", mode, got.Len(), want.Len())
+		}
+	}
+}
+
+// enumerateREE is the path-enumeration oracle: every pair of g joined by a
+// path of at most maxLen edges (taken from g.Edges()) whose data path the
+// direct REE matcher accepts under mode.
+func enumerateREE(g *Graph, q *REEQuery, mode CompareMode, maxLen int) *PairSet {
+	type step struct {
+		label string
+		to    int
+	}
+	adj := make([][]step, g.NumNodes())
+	for _, e := range g.Edges() {
+		from, _ := g.IndexOf(e.From)
+		to, _ := g.IndexOf(e.To)
+		adj[from] = append(adj[from], step{e.Label, to})
+	}
+	out := datagraph.NewPairSet()
+	var walk func(start int, nodes []int, labels []string)
+	walk = func(start int, nodes []int, labels []string) {
+		vals := make([]datagraph.Value, len(nodes))
+		for i, n := range nodes {
+			vals[i] = g.Value(n)
+		}
+		if ree.MatchDirect(q.Expr(), datagraph.NewDataPath(vals, labels), mode) {
+			out.Add(start, nodes[len(nodes)-1])
+		}
+		if len(labels) == maxLen {
+			return
+		}
+		for _, st := range adj[nodes[len(nodes)-1]] {
+			walk(start, append(nodes, st.to), append(labels, st.label))
+		}
+	}
+	for u := 0; u < g.NumNodes(); u++ {
+		walk(u, []int{u}, nil)
+	}
+	return out
+}
+
+// TestSessionGenericREEMatchesOracle sends REEs nested nine = deep — more
+// registers than the interned kernel packs, so evaluation takes the
+// generic register-automaton path — through a session: directly over a
+// source graph with nulls under both compare modes, and as certain answers
+// over the universal solution, whose nulls come from the chase. Both must
+// equal the path-enumeration oracle exactly (the queries are star-free, so
+// paths of their fixed length suffice).
+func TestSessionGenericREEMatchesOracle(t *testing.T) {
+	queries := map[string]int{ // query text → match length
+		"(((((((((p)=)=)=)=)=)=)=)=)=":      1,
+		"(p ((((((((q p)=)=)=)=)=)=)=)=)!=": 3,
+	}
+	rng := rand.New(rand.NewSource(13))
+	gs := datagraph.New()
+	const n = 10
+	for i := 0; i < n; i++ {
+		val := datagraph.V(fmt.Sprintf("d%d", rng.Intn(2)))
+		if rng.Intn(4) == 0 {
+			val = datagraph.Null()
+		}
+		gs.MustAddNode(datagraph.NodeID(fmt.Sprintf("n%d", i)), val)
+	}
+	for k := 0; k < 4*n; k++ {
+		gs.MustAddEdge(datagraph.NodeID(fmt.Sprintf("n%d", rng.Intn(n))), []string{"a", "p", "q"}[rng.Intn(3)],
+			datagraph.NodeID(fmt.Sprintf("n%d", rng.Intn(n))))
+	}
+	m := NewMapping(R("a", "p q"), R("p", "p"), R("q", "q"))
+	ctx := context.Background()
+	for text, length := range queries {
+		q := MustREE(text)
+		if regs := q.Automaton().NumRegs; regs != 9 {
+			t.Fatalf("%s: %d registers, want 9", text, regs)
+		}
+		for _, mode := range []CompareMode{MarkedNulls, SQLNulls} {
+			s := newTestSession(t, gs, m, WithCompareMode(mode))
+			got, err := s.EvalSource(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := enumerateREE(gs, q, mode, length); !got.Equal(want) {
+				t.Fatalf("%s mode %v: source eval %v, oracle %v", text, mode, got.Sorted(), want.Sorted())
+			}
+		}
+		s := newTestSession(t, gs, m)
+		got, err := s.CertainNull(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := s.UniversalSolution(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := core.FilterNullAnswers(u, enumerateREE(u, q, SQLNulls, length))
+		if !got.Equal(want) {
+			t.Fatalf("%s: certain answers %v, oracle %v", text, got, want)
 		}
 	}
 }
