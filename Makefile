@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race bench bench-smoke bench-selftest bench-json bench-diff lint fmt vet api-check api-update serve-smoke chaos-smoke overload-smoke ingest-smoke docs-check ci
+.PHONY: build test test-race bench bench-smoke bench-selftest bench-json bench-diff lint fmt vet api-check api-update serve-smoke chaos-smoke overload-smoke ingest-smoke fuzz-smoke docs-check ci
 
 build:
 	$(GO) build ./...
@@ -81,6 +81,12 @@ ingest-smoke:
 overload-smoke:
 	sh scripts/overload-smoke.sh
 
+# Native fuzzing, time-boxed: the hand-written JSON answer encoder against
+# encoding/json. Inputs that fail land in the package's testdata/fuzz
+# directory as regression cases.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzAppendAnswer -fuzztime 10s ./internal/server
+
 # Documentation link check: every local markdown link in README.md and
 # docs/*.md must resolve to an existing file.
 docs-check:
@@ -97,4 +103,4 @@ vet:
 
 lint: fmt vet
 
-ci: build lint api-check docs-check test-race serve-smoke chaos-smoke overload-smoke ingest-smoke bench-smoke bench-selftest bench-json
+ci: build lint api-check docs-check test-race fuzz-smoke serve-smoke chaos-smoke overload-smoke ingest-smoke bench-smoke bench-selftest bench-json

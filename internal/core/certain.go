@@ -50,17 +50,17 @@ func runEval(eval EvalFunc, g *datagraph.Graph, q Query, mode datagraph.CompareM
 
 // FilterNullAnswers keeps the pairs of res whose endpoints are non-null
 // nodes of u, as Answers — the final filtering step of the Theorem 4
-// algorithm, shared between the sequential path and the parallel engine.
+// algorithm for callers holding a PairSet (see NullAnswers for pair runs).
 func FilterNullAnswers(u *datagraph.Graph, res *datagraph.PairSet) *Answers {
-	out := NewAnswers()
-	res.Each(func(p datagraph.Pair) {
-		from, to := u.Node(p.From), u.Node(p.To)
-		if from.IsNullNode() || to.IsNullNode() {
-			return
-		}
-		out.Add(Answer{From: from, To: to})
-	})
-	return out
+	return NullAnswers(u, pairRuns(res))
+}
+
+// pairRuns returns the pairs of res as one run, in its iteration order.
+// The run grows as it goes: Len would cost a pass over a dense bitmap.
+func pairRuns(res *datagraph.PairSet) [][]datagraph.Pair {
+	var run []datagraph.Pair
+	res.Each(func(p datagraph.Pair) { run = append(run, p) })
+	return [][]datagraph.Pair{run}
 }
 
 // CertainNull computes 2ⁿ_M(Q, Gs), the certain answers over target graphs
@@ -123,21 +123,10 @@ func (mat *Materialization) CertainLeastInformative(q Query, eval EvalFunc) (*An
 }
 
 // FilterDomAnswers keeps the pairs of res whose endpoints lie in dom, as
-// Answers — the final filtering step of the Theorem 5 algorithm, shared
-// between the sequential path, the parallel engine and sessions.
+// Answers — the final filtering step of the Theorem 5 algorithm for
+// callers holding a PairSet (see DomAnswers for pair runs).
 func FilterDomAnswers(g *datagraph.Graph, dom map[datagraph.NodeID]struct{}, res *datagraph.PairSet) *Answers {
-	out := NewAnswers()
-	res.Each(func(p datagraph.Pair) {
-		from, to := g.Node(p.From), g.Node(p.To)
-		if _, ok := dom[from.ID]; !ok {
-			return
-		}
-		if _, ok := dom[to.ID]; !ok {
-			return
-		}
-		out.Add(Answer{From: from, To: to})
-	})
-	return out
+	return DomAnswers(g, dom, pairRuns(res))
 }
 
 // ExactOptions bounds the exponential search of CertainExact.
@@ -237,19 +226,9 @@ func (mat *Materialization) CertainExact(ctx context.Context, q Query, opts Exac
 		for i, idx := range nullIdx {
 			spec.SetValue(idx, assign[i])
 		}
-		res := q.Eval(spec, datagraph.MarkedNulls)
-		ans := NewAnswers()
-		res.Each(func(p datagraph.Pair) {
-			from, to := spec.Node(p.From), spec.Node(p.To)
-			if _, ok := dom[from.ID]; !ok {
-				return
-			}
-			if _, ok := dom[to.ID]; !ok {
-				return
-			}
-			// Report the original (source) values: dom nodes keep them.
-			ans.Add(Answer{From: from, To: to})
-		})
+		// Dom nodes keep their source values in every specialization, so
+		// the answers report the original values.
+		ans := DomAnswers(spec, dom, pairRuns(q.Eval(spec, datagraph.MarkedNulls)))
 		if result == nil {
 			result = ans
 		} else {

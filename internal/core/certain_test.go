@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/datagraph"
@@ -291,5 +294,126 @@ func TestAnswersSetOps(t *testing.T) {
 	}
 	if a.String() == "" || a.Sorted()[0].String() == "" {
 		t.Fatal("string rendering empty")
+	}
+
+	// Randomized: every operation against a map oracle keyed on id pairs,
+	// whose values record the last Add (Add overwrites on an id pair).
+	rng := rand.New(rand.NewSource(1))
+	nodes := make([]datagraph.Node, 12)
+	for i := range nodes {
+		nodes[i] = datagraph.Node{ID: datagraph.NodeID(fmt.Sprintf("n%d", rng.Intn(40)+i*40)), Value: datagraph.V(fmt.Sprint(i))}
+	}
+	type key [2]datagraph.NodeID
+	randomSet := func(adds int) (*Answers, map[key]Answer) {
+		set, oracle := NewAnswers(), map[key]Answer{}
+		for range adds {
+			ans := Answer{From: nodes[rng.Intn(len(nodes))], To: nodes[rng.Intn(len(nodes))]}
+			ans.From.Value = datagraph.V(fmt.Sprint(rng.Intn(3))) // overwrites change the value
+			set.Add(ans)
+			oracle[key{ans.From.ID, ans.To.ID}] = ans
+		}
+		return set, oracle
+	}
+	check := func(set *Answers, oracle map[key]Answer) {
+		t.Helper()
+		want := make([]Answer, 0, len(oracle))
+		for _, ans := range oracle {
+			want = append(want, ans)
+		}
+		slices.SortFunc(want, compareAnswers)
+		if got := set.Sorted(); !slices.Equal(got, want) {
+			t.Fatalf("Sorted = %v, want %v", got, want)
+		}
+		if set.Len() != len(oracle) {
+			t.Fatalf("Len = %d, want %d", set.Len(), len(oracle))
+		}
+		for _, f := range nodes {
+			for _, to := range nodes {
+				_, ok := oracle[key{f.ID, to.ID}]
+				if set.Has(f.ID, to.ID) != ok {
+					t.Fatalf("Has(%s, %s) = %v, want %v", f.ID, to.ID, !ok, ok)
+				}
+			}
+		}
+	}
+	subset := func(x, y map[key]Answer) bool {
+		for k := range x {
+			if _, ok := y[k]; !ok {
+				return false
+			}
+		}
+		return true
+	}
+	for trial := 0; trial < 200; trial++ {
+		x, xo := randomSet(rng.Intn(60))
+		y, yo := randomSet(rng.Intn(60))
+		check(x, xo)
+		check(y, yo)
+		if got, want := x.SubsetOf(y), subset(xo, yo); got != want {
+			t.Fatalf("trial %d: SubsetOf = %v, want %v", trial, got, want)
+		}
+		if got, want := x.Equal(y), subset(xo, yo) && subset(yo, xo); got != want {
+			t.Fatalf("trial %d: Equal = %v, want %v", trial, got, want)
+		}
+		x.Intersect(y)
+		for k := range xo {
+			if _, ok := yo[k]; !ok {
+				delete(xo, k)
+			}
+		}
+		check(x, xo)
+		if !x.SubsetOf(y) {
+			t.Fatalf("trial %d: an intersection is not a subset of its operand", trial)
+		}
+	}
+}
+
+// TestAnswersFromRunsMatchesOracle builds answer sets from random pair
+// runs — in engine order, shuffled, and with duplicates — and compares them
+// with Adding every kept pair one by one.
+func TestAnswersFromRunsMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	g := datagraph.New()
+	const n = 50
+	for i := 0; i < n; i++ {
+		v := datagraph.V(fmt.Sprint(i))
+		if rng.Intn(3) == 0 {
+			v = datagraph.Null()
+		}
+		// Ids whose string order differs from index order.
+		g.MustAddNode(datagraph.NodeID(fmt.Sprintf("v%d", (i*37)%n)), v)
+	}
+	for trial := 0; trial < 100; trial++ {
+		var pairs []datagraph.Pair
+		for from := 0; from < n; from++ {
+			for to := 0; to < n; to++ {
+				if rng.Intn(8) == 0 {
+					pairs = append(pairs, datagraph.Pair{From: from, To: to})
+				}
+			}
+		}
+		switch trial % 3 {
+		case 1:
+			rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+		case 2:
+			pairs = append(pairs, pairs[:len(pairs)/2]...)
+		}
+		var runs [][]datagraph.Pair
+		for lo := 0; lo < len(pairs); {
+			hi := min(lo+rng.Intn(20), len(pairs))
+			runs = append(runs, pairs[lo:hi])
+			lo = hi
+		}
+		want := NewAnswers()
+		for _, p := range pairs {
+			from, to := g.Node(p.From), g.Node(p.To)
+			if !from.IsNullNode() && !to.IsNullNode() {
+				want.Add(Answer{From: from, To: to})
+			}
+		}
+		got := NullAnswers(g, runs)
+		if !slices.Equal(got.Sorted(), want.Sorted()) {
+			t.Fatalf("trial %d: NullAnswers = %v, want %v", trial, got, want)
+		}
 	}
 }

@@ -147,7 +147,7 @@ func CertainOneInequalityAll(m *Mapping, gs *datagraph.Graph, q *ree.Query,
 	opts OneNeqOptions) (*Answers, error) {
 
 	dom := Dom(m, gs)
-	out := NewAnswers()
+	var run []datagraph.Pair
 	for _, a := range dom {
 		for _, b := range dom {
 			ok, err := CertainOneInequality(m, gs, q, a.ID, b.ID, opts)
@@ -155,11 +155,13 @@ func CertainOneInequalityAll(m *Mapping, gs *datagraph.Graph, q *ree.Query,
 				return nil, err
 			}
 			if ok {
-				out.Add(Answer{From: a, To: b})
+				ai, _ := gs.IndexOf(a.ID)
+				bi, _ := gs.IndexOf(b.ID)
+				run = append(run, datagraph.Pair{From: ai, To: bi})
 			}
 		}
 	}
-	return out, nil
+	return answersFromRuns(gs, func(int) bool { return true }, [][]datagraph.Pair{run}), nil
 }
 
 // matchingPaths enumerates node sequences of the universal solution

@@ -7,25 +7,13 @@ import (
 )
 
 // This file extends the datagraph byte-accounting layer to the core
-// artifacts the serving memory governor charges against its budget:
-// answer sets and whole materializations.
+// artifact the serving memory governor charges against its budget: whole
+// materializations.
 
 const (
 	sizeMapEntry = 48
 	sizeString   = 16
 )
-
-// SizeBytes estimates the answer set's resident footprint.
-func (a *Answers) SizeBytes() int64 {
-	var b int64 = 64
-	for k, ans := range a.m {
-		b += sizeMapEntry
-		b += sizeString + int64(len(k[0])) + sizeString + int64(len(k[1]))
-		b += sizeString + int64(len(ans.From.ID)) + datagraph.ValueBytes(ans.From.Value)
-		b += sizeString + int64(len(ans.To.ID)) + datagraph.ValueBytes(ans.To.Value)
-	}
-	return b
-}
 
 // sizeCache memoizes a materialization's byte estimate keyed on which
 // artifacts exist, so the serving hot path can re-read the size after

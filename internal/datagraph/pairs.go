@@ -63,6 +63,26 @@ func NewPairSetSized(n int) *PairSet {
 	return &PairSet{n: n, w: w, rows: make([]uint64, n*w)}
 }
 
+// PairSetOf returns the set of the pairs in runs over the node universe
+// {0, …, n−1}: dense when NewPairSetSized(n) would be, otherwise a hash set
+// sized for the pairs up front.
+func PairSetOf(n int, runs ...[]Pair) *PairSet {
+	s := NewPairSetSized(n)
+	if s.m != nil {
+		total := 0
+		for _, run := range runs {
+			total += len(run)
+		}
+		s.m = make(map[Pair]struct{}, total)
+	}
+	for _, run := range runs {
+		for _, p := range run {
+			s.AddPair(p)
+		}
+	}
+	return s
+}
+
 // Dense reports whether the set uses the bitmap representation.
 func (s *PairSet) Dense() bool { return s.m == nil }
 

@@ -52,3 +52,51 @@ func TestEvalGraphAllocatesLinearly(t *testing.T) {
 		t.Fatalf("bytes per EvalGraph grew %.2fx from V=%d to V=%d; want < 6 (linear in V)", ratio, v, 4*v)
 	}
 }
+
+// TestSelectiveCertainNullAllocatesLinearly pins the bytes of one selective
+// certain-answer query, evaluated the way Session.CertainNull does it
+// (EvalRuns, then core.NullAnswers), to O(V + answers). A per-query result
+// set sized V×V — a dense bitmap below the pair-set budget — costs megabytes
+// on a solution of a few thousand nodes even when nothing matches.
+func TestSelectiveCertainNullAllocatesLinearly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	ctx := context.Background()
+	sc := workload.Serving(workload.ServingSpec{Nodes: 2000})
+	cm, err := core.Compile(sc.Mapping)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := core.NewMaterialization(cm, sc.Graph).Universal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := u.NumNodes()
+	for i, q := range sc.Queries {
+		certainNull := func() *core.Answers {
+			runs, err := EvalRuns(ctx, u, q, datagraph.SQLNulls, Options{ChunkSize: 32})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return core.NullAnswers(u, runs)
+		}
+		ans := certainNull() // lowers the query and fills the scratch pool
+		const runs = 3
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			certainNull()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		limit := float64(64*n + 512*ans.Len() + 64<<10)
+		if i == 0 {
+			t.Logf("solution of %d nodes: query %q, %d answers, %.0f bytes (limit %.0f)", n, sc.QueryTexts[i], ans.Len(), bytes, limit)
+		}
+		if bytes > limit {
+			t.Fatalf("query %q (%d answers) allocated %.0f bytes on a %d-node solution; want at most %.0f (O(V + answers))",
+				sc.QueryTexts[i], ans.Len(), bytes, n, limit)
+		}
+	}
+}

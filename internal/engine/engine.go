@@ -13,9 +13,9 @@
 //     themselves, which makes selective queries on large graphs nearly
 //     free.
 //
-// Output is deterministic: answers are set-valued and the merge is
-// order-insensitive, so the same inputs always produce the same Answers
-// regardless of scheduling.
+// Output is deterministic: every work item writes its pairs into its own
+// slot, and the slots are read back in start-node order, so the same
+// inputs always produce the same answers regardless of scheduling.
 package engine
 
 import (
@@ -75,13 +75,13 @@ func EvalOpts(ctx context.Context, m *core.Mapping, gs *datagraph.Graph, opts Op
 // batches against one (M, Gs) shares one memoized solution instead of
 // rebuilding it per call.
 func EvalSolution(ctx context.Context, u *datagraph.Graph, opts Options, queries ...core.Query) ([]*core.Answers, error) {
-	sets, err := evalAll(ctx, u, queries, datagraph.SQLNulls, opts)
+	runs, err := evalRuns(ctx, u, queries, datagraph.SQLNulls, opts)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*core.Answers, len(queries))
-	for i, res := range sets {
-		out[i] = core.FilterNullAnswers(u, res)
+	for i, r := range runs {
+		out[i] = core.NullAnswers(u, r)
 	}
 	return out, nil
 }
@@ -126,11 +126,22 @@ func CertainDataPathArbitrary(m *core.Mapping, gs *datagraph.Graph, q *ree.Query
 // sharded across the worker pool. It is the parallel counterpart of
 // q.Eval(g, mode) and falls back to it when the query has no range kernel.
 func EvalGraph(ctx context.Context, g *datagraph.Graph, q core.Query, mode datagraph.CompareMode, opts Options) (*datagraph.PairSet, error) {
-	sets, err := evalAll(ctx, g, []core.Query{q}, mode, opts)
+	runs, err := EvalRuns(ctx, g, q, mode, opts)
 	if err != nil {
 		return nil, err
 	}
-	return sets[0], nil
+	return datagraph.PairSetOf(g.NumNodes(), runs...), nil
+}
+
+// EvalRuns is EvalGraph without the set: it returns the pair runs of q
+// over g, duplicate-free and in start-node order, ready for
+// core.NullAnswers or core.DomAnswers.
+func EvalRuns(ctx context.Context, g *datagraph.Graph, q core.Query, mode datagraph.CompareMode, opts Options) ([][]datagraph.Pair, error) {
+	runs, err := evalRuns(ctx, g, []core.Query{q}, mode, opts)
+	if err != nil {
+		return nil, err
+	}
+	return runs[0], nil
 }
 
 // captureEvalFunc adapts the engine to the core.EvalFunc hook. The hook's
@@ -166,121 +177,114 @@ type job struct {
 	whole  bool
 }
 
-// evalAll runs the shared worker pool over every (query, frontier-chunk)
-// work item and returns one PairSet per query.
+// evalRuns runs the shared worker pool over every (query, frontier-chunk)
+// work item and returns, per query, the pair runs its items emitted, in
+// start-node order.
 //
 // The graph is frozen exactly once, up front, so every worker evaluates
 // against one shared immutable snapshot. Freezing is incremental
 // (datagraph delta snapshots), so in update-heavy workloads — query
 // batches separated by AddEdge/SetValue bursts — each batch pays only for
-// the delta since the previous batch, not an O(V+E) rebuild. Result sets are dense bitmap
-// PairSets (when the graph fits the dense budget); frontier work items for
-// the same query touch disjoint start nodes and therefore disjoint bitmap
-// rows, so workers write answers straight into the shared result set
-// without locks — only whole-query work items and sparse fallbacks merge
-// under a mutex.
-func evalAll(ctx context.Context, g *datagraph.Graph, queries []core.Query, mode datagraph.CompareMode, opts Options) ([]*datagraph.PairSet, error) {
+// the delta since the previous batch, not an O(V+E) rebuild.
+//
+// Each work item writes its pairs into its own slot of one runs slice, so
+// workers share no set and take no lock. A range kernel emits each (u, v)
+// once per start node, start nodes ascending, and the chunks of one query
+// are disjoint, so a query's runs are duplicate-free and sorted by start
+// node; a whole-query item contributes its result's sorted pairs.
+func evalRuns(ctx context.Context, g *datagraph.Graph, queries []core.Query, mode datagraph.CompareMode, opts Options) ([][][]datagraph.Pair, error) {
 	n := g.NumNodes()
 	g.Freeze()
 	chunk := opts.chunk()
 	var jobs []job
+	first := make([]int, len(queries)+1) // query qi owns jobs[first[qi]:first[qi+1]]
 	for qi, q := range queries {
+		first[qi] = len(jobs)
 		if _, ranged := q.(core.RangeEvaluator); ranged {
 			for lo := 0; lo < n; lo += chunk {
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				jobs = append(jobs, job{qi: qi, lo: lo, hi: hi})
+				jobs = append(jobs, job{qi: qi, lo: lo, hi: min(lo+chunk, n)})
 			}
 		} else {
 			jobs = append(jobs, job{qi: qi, whole: true})
 		}
 	}
+	first[len(queries)] = len(jobs)
 
-	results := make([]*datagraph.PairSet, len(queries))
-	for i := range results {
-		results[i] = datagraph.NewPairSetSized(n)
-	}
-
-	workers := opts.workers()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	runs := make([][]datagraph.Pair, len(jobs))
+	workers := min(opts.workers(), len(jobs))
 	if workers <= 1 {
-		// Sequential fast path: no goroutine or lock overhead.
-		for _, j := range jobs {
+		// Sequential fast path: no goroutine overhead.
+		var w worker
+		for i := range jobs {
 			if ctx.Err() != nil {
 				break
 			}
-			runJob(g, queries, mode, j, results[j.qi])
+			runs[i] = w.run(g, queries, mode, jobs[i])
 		}
 	} else {
-		runPool(ctx, g, queries, mode, jobs, results, workers)
+		runPool(ctx, g, queries, mode, jobs, runs, workers)
 	}
 	// A cancellation observed at any point — including during the last
 	// work item — discards the partial results.
 	if err := ctx.Err(); err != nil {
 		return nil, core.Canceled(err)
 	}
-	return results, nil
+	out := make([][][]datagraph.Pair, len(queries))
+	for qi := range queries {
+		out[qi] = runs[first[qi]:first[qi+1]]
+	}
+	return out, nil
 }
 
 // runPool runs the work items on a pool of workers goroutines until they
-// are exhausted or ctx is cancelled.
+// are exhausted or ctx is cancelled, storing item i's pairs in runs[i].
 func runPool(ctx context.Context, g *datagraph.Graph, queries []core.Query, mode datagraph.CompareMode,
-	jobs []job, results []*datagraph.PairSet, workers int) {
+	jobs []job, runs [][]datagraph.Pair, workers int) {
 
-	locks := make([]sync.Mutex, len(queries))
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
 	)
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		go func() {
 			defer wg.Done()
-			local := datagraph.NewPairSet()
-			lastQ := -1
-			flush := func() {
-				if lastQ >= 0 && local.Len() > 0 {
-					locks[lastQ].Lock()
-					local.Each(func(p datagraph.Pair) { results[lastQ].AddPair(p) })
-					locks[lastQ].Unlock()
-				}
-				local = datagraph.NewPairSet()
-			}
+			var w worker
 			for ctx.Err() == nil {
-				idx := int(next.Add(1)) - 1
-				if idx >= len(jobs) {
-					break
+				i := int(next.Add(1)) - 1
+				if i >= len(jobs) {
+					return
 				}
-				j := jobs[idx]
-				if !j.whole && results[j.qi].Dense() {
-					// Disjoint bitmap rows: write directly, lock-free.
-					runJob(g, queries, mode, j, results[j.qi])
-					continue
-				}
-				if j.qi != lastQ {
-					flush()
-					lastQ = j.qi
-				}
-				runJob(g, queries, mode, j, local)
+				runs[i] = w.run(g, queries, mode, jobs[i])
 			}
-			flush()
 		}()
 	}
 	wg.Wait()
 }
 
-// runJob executes one work item, adding pairs into sink.
-func runJob(g *datagraph.Graph, queries []core.Query, mode datagraph.CompareMode, j job, sink *datagraph.PairSet) {
+// worker appends every range item's pairs to one growing buffer and hands
+// out capacity-capped windows of it, so a worker allocates O(log answers)
+// times per call rather than once per chunk. Windows stay valid when the
+// buffer grows: earlier ones keep the old backing array.
+type worker struct {
+	buf  []datagraph.Pair
+	emit func(u, v int)
+}
+
+// run executes one work item and returns its pairs.
+func (w *worker) run(g *datagraph.Graph, queries []core.Query, mode datagraph.CompareMode, j job) []datagraph.Pair {
 	q := queries[j.qi]
 	if j.whole {
-		q.Eval(g, mode).Each(func(p datagraph.Pair) { sink.AddPair(p) })
-		return
+		return q.Eval(g, mode).Sorted()
 	}
-	// Snapshot kernel: interned labels, pooled scratch reused across this
-	// worker's chunks, start pruning on interned start labels.
-	q.(core.RangeEvaluator).EvalRange(g, j.lo, j.hi, mode, sink.Add)
+	if w.emit == nil {
+		w.emit = func(u, v int) { w.buf = append(w.buf, datagraph.Pair{From: u, To: v}) }
+	}
+	start := len(w.buf)
+	// Snapshot kernel: interned labels, pooled scratch, start pruning.
+	q.(core.RangeEvaluator).EvalRange(g, j.lo, j.hi, mode, w.emit)
+	if len(w.buf) == start {
+		return nil
+	}
+	return w.buf[start:len(w.buf):len(w.buf)]
 }

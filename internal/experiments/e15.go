@@ -84,11 +84,11 @@ func E15SessionAmortization(quick bool) (Table, error) {
 			if err != nil {
 				return t, err
 			}
-			res, err := engine.EvalGraph(ctx, u, q, datagraph.SQLNulls, engine.Options{ChunkSize: 256})
+			runs, err := engine.EvalRuns(ctx, u, q, datagraph.SQLNulls, engine.Options{ChunkSize: 256})
 			if err != nil {
 				return t, err
 			}
-			ans := core.FilterNullAnswers(u, res)
+			ans := core.NullAnswers(u, runs)
 			if !ans.Equal(legacyAns[i]) {
 				return t, fmt.Errorf("E15: session answers diverged from legacy on query %d", i)
 			}

@@ -566,12 +566,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	as.answers.Add(uint64(ans.Len()))
 	s.stats.queries.Add(1)
 	s.stats.answers.Add(uint64(ans.Len()))
-	writeJSON(w, http.StatusOK, QueryResponse{
-		Algo:      orDefault(req.Algo, "null"),
-		Count:     ans.Len(),
-		Answers:   AnswersWire(ans),
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-	})
+	writeAnswers(w, orDefault(req.Algo, "null"), ans, start)
 }
 
 // streamFlushEvery is how many NDJSON answer lines are buffered between
@@ -669,8 +664,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			flush()
 			return
 		}
-		wire := Answer{From: nodeWire(a.From), To: nodeWire(a.To)}
-		enc.Encode(StreamChunk{Answer: &wire})
+		line := append(bw.AvailableBuffer(), `{"answer":`...)
+		line = appendAnswer(line, a)
+		bw.Write(append(line, "}\n"...))
 		count++
 		if count%streamFlushEvery == 0 {
 			flush()
@@ -741,12 +737,7 @@ func (s *Server) handleOneShot(w http.ResponseWriter, r *http.Request) {
 	}
 	s.stats.oneShots.Add(1)
 	s.stats.answers.Add(uint64(ans.Len()))
-	writeJSON(w, http.StatusOK, QueryResponse{
-		Algo:      orDefault(req.Algo, "null"),
-		Count:     ans.Len(),
-		Answers:   AnswersWire(ans),
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-	})
+	writeAnswers(w, orDefault(req.Algo, "null"), ans, start)
 }
 
 func (s *Server) handleDeleteMapping(w http.ResponseWriter, r *http.Request) {

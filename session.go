@@ -1,10 +1,12 @@
 package repro
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"iter"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -300,11 +302,11 @@ func (s *Session) CertainNull(ctx context.Context, q Query) (*Answers, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := engine.EvalGraph(ctx, u, q, SQLNulls, s.engineOpts())
+	runs, err := engine.EvalRuns(ctx, u, q, SQLNulls, s.engineOpts())
 	if err != nil {
 		return nil, err
 	}
-	return core.FilterNullAnswers(u, res), nil
+	return core.NullAnswers(u, runs), nil
 }
 
 // CertainLeastInformative computes 2_M(Q, Gs) for equality-only queries
@@ -319,11 +321,11 @@ func (s *Session) CertainLeastInformative(ctx context.Context, q Query) (*Answer
 	if err != nil {
 		return nil, err
 	}
-	res, err := engine.EvalGraph(ctx, li, q, MarkedNulls, s.engineOpts())
+	runs, err := engine.EvalRuns(ctx, li, q, MarkedNulls, s.engineOpts())
 	if err != nil {
 		return nil, err
 	}
-	return core.FilterDomAnswers(li, s.mat.DomIDs(), res), nil
+	return core.DomAnswers(li, s.mat.DomIDs(), runs), nil
 }
 
 // CertainExact computes 2_M(Q, Gs) exactly by the bounded exponential
@@ -541,9 +543,10 @@ func (s *Session) MemoryBytes() int64 { return s.mat.SizeBytes() }
 // query is accepted, including across sessions.
 type PreparedQuery struct {
 	q Query
-	// whole caches the last whole-graph evaluation, so the frontier-shard
-	// fallbacks below (for queries without their own EvalFrom/EvalRange)
-	// cost one Eval per (graph, mode) instead of one per chunk.
+	// whole caches the last whole-graph evaluation as sorted pairs, so the
+	// frontier-shard fallbacks below (for queries without their own
+	// EvalFrom/EvalRange) cost one Eval per (graph, mode) instead of one
+	// per chunk.
 	whole atomic.Pointer[preparedEval]
 }
 
@@ -551,24 +554,36 @@ type preparedEval struct {
 	g           *Graph
 	topoV, valV uint64
 	mode        CompareMode
-	res         *PairSet
+	res         []datagraph.Pair
 }
 
 // PrepareQuery wraps a query for reuse. The same prepared query may be used
 // by any number of sessions and goroutines.
 func PrepareQuery(q Query) *PreparedQuery { return &PreparedQuery{q: q} }
 
-// wholeEval evaluates the underlying query over the full graph, reusing the
-// cached result while the same (graph, mode) keeps arriving unmutated.
-func (p *PreparedQuery) wholeEval(g *Graph, mode CompareMode) *PairSet {
+// wholeEval evaluates the underlying query over the full graph and returns
+// its pairs sorted by (from, to), reusing the cached result while the same
+// (graph, mode) keeps arriving unmutated.
+func (p *PreparedQuery) wholeEval(g *Graph, mode CompareMode) []datagraph.Pair {
 	topoV, valV := g.Versions()
 	if pe := p.whole.Load(); pe != nil && pe.g == g && pe.mode == mode &&
 		pe.topoV == topoV && pe.valV == valV {
 		return pe.res
 	}
-	res := p.q.Eval(g, mode)
+	res := p.q.Eval(g, mode).Sorted()
 	p.whole.Store(&preparedEval{g: g, topoV: topoV, valV: valV, mode: mode, res: res})
 	return res
+}
+
+// wholeRange returns the cached whole-graph pairs whose start node lies in
+// [lo, hi).
+func (p *PreparedQuery) wholeRange(g *Graph, lo, hi int, mode CompareMode) []datagraph.Pair {
+	all := p.wholeEval(g, mode)
+	from := func(bound int) int {
+		i, _ := slices.BinarySearchFunc(all, bound, func(pr datagraph.Pair, b int) int { return cmp.Compare(pr.From, b) })
+		return i
+	}
+	return all[from(lo):from(hi)]
 }
 
 // Unwrap returns the underlying query.
@@ -601,11 +616,9 @@ func (p *PreparedQuery) EvalFrom(g *Graph, u int, mode CompareMode) []int {
 		return fe.EvalFrom(g, u, mode)
 	}
 	var out []int
-	p.wholeEval(g, mode).Each(func(pr datagraph.Pair) {
-		if pr.From == u {
-			out = append(out, pr.To)
-		}
-	})
+	for _, pr := range p.wholeRange(g, u, u+1, mode) {
+		out = append(out, pr.To)
+	}
 	return out
 }
 
@@ -618,9 +631,7 @@ func (p *PreparedQuery) EvalRange(g *Graph, lo, hi int, mode CompareMode, emit f
 		re.EvalRange(g, lo, hi, mode, emit)
 		return
 	}
-	p.wholeEval(g, mode).Each(func(pr datagraph.Pair) {
-		if pr.From >= lo && pr.From < hi {
-			emit(pr.From, pr.To)
-		}
-	})
+	for _, pr := range p.wholeRange(g, lo, hi, mode) {
+		emit(pr.From, pr.To)
+	}
 }
